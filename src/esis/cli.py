@@ -10,9 +10,9 @@ import sys
 
 from . import pdu as pdu_mod
 from .checksum import generate_checksum, verify_checksum
-from .pdu import (AaBody, DiscardReason, EshBody, InvariantViolation, IshBody,
-                  Option, OptionCode, Pdu, PduType, RaBody, RdBody)
-from .scenario import ScenarioError, build_simulator, load_scenario
+from .pdu import (PDU_SPECS, AaBody, DiscardReason, EshBody, InvariantViolation,
+                  IshBody, Option, OptionCode, Part, Pdu, RaBody, RdBody)
+from .scenario import build_simulator, load_scenario
 
 _OPT_NAMES = {
     "security": OptionCode.SECURITY,
@@ -43,9 +43,7 @@ def cmd_craft(args: argparse.Namespace) -> int:
     addrs = [_parse_hex(a) for a in args.addr]
     opts = tuple(_parse_opt(o) for o in args.opt)
     if args.type == "esh":
-        if not addrs:
-            raise InvariantViolation("address count must be ≥ 1")
-        body = EshBody(tuple(addrs))
+        body = EshBody(tuple(addrs))  # encode rejects an empty list
     elif args.type in ("ish", "aa"):
         if len(addrs) != 1:
             raise InvariantViolation(f"{args.type} needs exactly one --addr (the NET)")
@@ -110,34 +108,19 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _print_body(p: Pdu) -> None:
-    body = p.body
-    if isinstance(body, EshBody):
-        for i, a in enumerate(body.source_addresses):
-            print(f"source_address[{i}]  {a.hex()}")
-    elif isinstance(body, (IshBody, AaBody)):
-        print(f"net               {body.net.hex()}")
-    elif isinstance(body, RdBody):
-        print(f"destination       {body.destination.hex()}")
-        print(f"better_snpa       {body.better_snpa.hex()}")
-        if body.redirect_net:
-            print(f"redirect_net      {body.redirect_net.hex()}")
-    for opt in p.options:
-        try:
-            name = OptionCode(opt.code).name.lower()
-        except ValueError:
-            name = str(opt.code)
-        print(f"option {name:<11} {opt.value.hex()}")
+    for name, part in PDU_SPECS[type(p.body)].parts:
+        value = getattr(p.body, name)
+        if part is Part.NSAP_LIST:
+            for i, a in enumerate(value):
+                print(f"source_address[{i}]  {a.hex()}")
+        elif value:
+            print(f"{name:<17} {value.hex()}")
+    for opt in p.options:  # decode admits only known option codes
+        print(f"option {OptionCode(opt.code).name.lower():<11} {opt.value.hex()}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sc = load_scenario(args.scenario)
     until = args.until if args.until is not None else sc.until
     sim = build_simulator(sc)
     log = sim.run_until(until)
@@ -190,9 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Bad input of any kind (unreadable file, bad hex, a scenario error, an
+    # encode invariant) is exit code 2; InvariantViolation and ScenarioError
+    # are ValueErrors.
     try:
         return args.func(args)
-    except (InvariantViolation, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,14 +7,15 @@ EngineEvent values come out. All I/O belongs to the simulator.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from . import pdu as pdu_mod
 from .checksum import generate_checksum
 from .pdu import (AaBody, DiscardReason, EshBody, IshBody, LENIENT, NLPID_CLNP,
-                  NLPID_ESIS, Option, OptionCode, Pdu, ProtocolDetail, RaBody,
-                  RdBody, SNPA_LEN, ValidationProfile, protocol_error)
-from .rib import EntryKind, HopKind, InsertResult, NextHop, Rib
+                  NLPID_ESIS, OptionCode, Pdu, ProtocolDetail, RaBody, RdBody,
+                  ValidationProfile, protocol_error)
+from .rib import EntryKind, InsertResult, Rib
 
 ALL_ES = bytes.fromhex("09002b000004")
 ALL_IS = bytes.fromhex("09002b000005")
@@ -196,24 +197,10 @@ class Node:
         return []
 
     def _dispatch(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
-        body = p.body
-        if isinstance(body, EshBody):
-            return self.handle_esh(p, source_snpa, now)
-        if isinstance(body, IshBody):
-            if self.is_intermediate:
-                return [_ROLE_MISMATCH]
-            return self.handle_ish(p, source_snpa, now)
-        if isinstance(body, RdBody):
-            if self.is_intermediate:
-                return [_ROLE_MISMATCH]
-            return self.handle_rd(p, now)
-        if isinstance(body, RaBody):
-            if not self.is_intermediate:
-                return [_ROLE_MISMATCH]
-            return self.handle_ra(p, source_snpa, now)
-        if not self.is_intermediate:
-            return self.handle_aa(p, now)
-        return [_ROLE_MISMATCH]
+        roles, handler = _HANDLERS[type(p.body)]
+        if self.config.role not in roles:
+            return [_ROLE_MISMATCH]
+        return handler(self, p, source_snpa, now)
 
     def handle_esh(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         """Record the sender's NSAPs; an IS answers a new ES with one ISH."""
@@ -255,12 +242,12 @@ class Node:
         aa = Pdu(AaBody(net), holding_time=self.holding_time)
         return [self._emit(aa, source_snpa)]
 
-    def handle_aa(self, p: Pdu, now: int) -> list[EngineEvent]:
+    def handle_aa(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         body: AaBody = p.body
         self.acquired_net = body.net
         return [AddressAssigned(body.net)]
 
-    def handle_rd(self, p: Pdu, now: int) -> list[EngineEvent]:
+    def handle_rd(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         body: RdBody = p.body
         self.rib.record_redirect(body.destination, body.better_snpa,
                                  body.redirect_net, p.holding_time, now)
@@ -270,26 +257,18 @@ class Node:
     def handle_clnp_at_is(self, clnp: MinimalClnpPdu, source_snpa: bytes,
                           now: int) -> list[EngineEvent]:
         """Forward the stub CLNP and redirect the sender to a better hop."""
-        events: list[EngineEvent] = []
         entry = self.rib.lookup(clnp.destination, now)
         if entry is not None and entry.kind is EntryKind.ES_NEIGHBOR:
-            rd = Pdu(RdBody(clnp.destination, entry.snpa, None),
-                     holding_time=self.holding_time)
-            events.append(RedirectIssued(clnp.destination, entry.snpa))
-            events.append(self._emit(rd, source_snpa))
-            forward_to = entry.snpa
+            forward_to, net = entry.snpa, None
         else:
             match = self._longest_prefix(clnp.destination)
             if match is None:
-                return events
-            rd = Pdu(RdBody(clnp.destination, match.next_is_snpa, match.next_is_net),
-                     holding_time=self.holding_time)
-            events.append(RedirectIssued(clnp.destination, match.next_is_snpa))
-            events.append(self._emit(rd, source_snpa))
-            forward_to = match.next_is_snpa
+                return []
+            forward_to, net = match.next_is_snpa, match.next_is_net
+        rd = Pdu(RdBody(clnp.destination, forward_to, net), holding_time=self.holding_time)
         payload = encode_clnp(clnp.source, clnp.destination)
-        events.append(SendFrame(Frame(forward_to, self.config.snpa, payload)))
-        return events
+        return [RedirectIssued(clnp.destination, forward_to), self._emit(rd, source_snpa),
+                SendFrame(Frame(forward_to, self.config.snpa, payload))]
 
     def _longest_prefix(self, destination: bytes) -> ForwardingEntry | None:
         best: ForwardingEntry | None = None
@@ -313,3 +292,17 @@ class Node:
         requester SNPA, then a zero selector."""
         prefix = (self.config.local_net + b"\x00" * 13)[:13]
         return prefix + requester_snpa + b"\x00"
+
+
+_ES_ONLY = frozenset({Role.END_SYSTEM})
+_IS_ONLY = frozenset({Role.INTERMEDIATE_SYSTEM})
+
+# Body class -> (roles that accept it, handler). Any other role discards it
+# with ROLE_MISMATCH.
+_HANDLERS: dict[type, tuple[frozenset[Role], Callable]] = {
+    EshBody: (frozenset(Role), Node.handle_esh),
+    IshBody: (_ES_ONLY, Node.handle_ish),
+    RdBody: (_ES_ONLY, Node.handle_rd),
+    RaBody: (_IS_ONLY, Node.handle_ra),
+    AaBody: (_ES_ONLY, Node.handle_aa),
+}

@@ -70,7 +70,10 @@ class Rib:
     def __init__(self) -> None:
         self.entries: list[RibEntry] = []
         self.redirects: list[RedirectEntry] = []
-        self.num_of_entry = 0
+
+    @property
+    def num_of_entry(self) -> int:
+        return len(self.entries)
 
     def insert_entry(self, kind: EntryKind, address: bytes, snpa: bytes,
                      holding_time: int, now: int) -> InsertResult:
@@ -81,7 +84,6 @@ class Rib:
                 e.expiry = now + holding_time
                 return InsertResult.REPLACED
         self.entries.append(RibEntry(kind, address, snpa, now + holding_time))
-        self.num_of_entry += 1
         return InsertResult.INSERTED
 
     def lookup(self, address: bytes, now: int) -> RibEntry | None:
@@ -101,7 +103,6 @@ class Rib:
         before = len(self.entries) + len(self.redirects)
         self.entries = [e for e in self.entries if e.expiry > now]
         self.redirects = [r for r in self.redirects if r.expiry > now]
-        self.num_of_entry = len(self.entries)
         return before - len(self.entries) - len(self.redirects)
 
     def record_redirect(self, destination: bytes, better_snpa: bytes,

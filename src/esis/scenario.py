@@ -16,15 +16,17 @@ Grammar (one statement per line, '#' starts a comment):
   at <t> up <node>
 
 Unknown statements or keys are load errors. Fault ordinals count transmit
-calls from 1 across the whole run.
+calls from 1 across the whole run. `latency` and `at` times must be ≥ 0, so
+virtual time never runs backwards; `afi` and a corrupt value must be
+exactly one octet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import ForwardingEntry, NodeConfig, Role, SNPA_LEN
-from .pdu import ValidationProfile
+from .engine import ForwardingEntry, NodeConfig, Role
+from .pdu import SNPA_LEN, ValidationProfile
 from .sim import FaultPlan, Simulator
 
 
@@ -68,11 +70,21 @@ def _hex(lineno: int, text: str, what: str) -> bytes:
         raise ScenarioError(lineno, f"bad hex for {what}: {text!r}")
 
 
-def _int(lineno: int, text: str, what: str) -> int:
+def _octet(lineno: int, text: str, what: str) -> int:
+    raw = _hex(lineno, text, what)
+    if len(raw) != 1:
+        raise ScenarioError(lineno, f"{what} must be one octet, got {text!r}")
+    return raw[0]
+
+
+def _int(lineno: int, text: str, what: str, minimum: int | None = None) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ScenarioError(lineno, f"bad integer for {what}: {text!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(lineno, f"{what} must be ≥ {minimum}, got {value}")
+    return value
 
 
 def _parse_node(lineno: int, args: list[str], sc: Scenario) -> None:
@@ -115,7 +127,7 @@ def _parse_node(lineno: int, args: list[str], sc: Scenario) -> None:
                 raise ScenarioError(lineno, f"unknown profile {val!r}")
             atn = val == "atn"
         elif key == "afi":
-            afi = int(_hex(lineno, val, "afi")[0])
+            afi = _octet(lineno, val, "afi")
         else:
             raise ScenarioError(lineno, f"unknown node key {key!r}")
     if role is None:
@@ -160,7 +172,7 @@ def _parse_forward(lineno: int, args: list[str], sc: Scenario) -> None:
 def _parse_at(lineno: int, args: list[str], sc: Scenario) -> None:
     if len(args) < 3:
         raise ScenarioError(lineno, "at needs: <t> <action> <node> ...")
-    at = _int(lineno, args[0], "time")
+    at = _int(lineno, args[0], "time", minimum=0)
     kind, node = args[1], args[2]
     if not any(d.name == node for d in sc.nodes):
         raise ScenarioError(lineno, f"unknown node {node!r}")
@@ -190,7 +202,7 @@ def parse_scenario(text: str) -> Scenario:
         elif stmt == "forward":
             _parse_forward(lineno, args, sc)
         elif stmt == "latency":
-            sc.latency = _int(lineno, args[0] if args else "", "latency")
+            sc.latency = _int(lineno, args[0] if args else "", "latency", minimum=0)
         elif stmt == "seed":
             sc.seed = _int(lineno, args[0] if args else "", "seed")
         elif stmt == "until":
@@ -202,7 +214,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(lineno, "corrupt needs <ordinal> <index|random> <value|random>")
             ordinal = _int(lineno, args[0], "ordinal")
             idx = None if args[1] == "random" else _int(lineno, args[1], "octet index")
-            val = None if args[2] == "random" else int(_hex(lineno, args[2], "value")[0])
+            val = None if args[2] == "random" else _octet(lineno, args[2], "value")
             sc.faults.corruptions[ordinal] = (idx, val)
         elif stmt == "at":
             _parse_at(lineno, args, sc)

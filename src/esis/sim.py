@@ -1,7 +1,9 @@
 """Deterministic discrete-event broadcast subnetwork.
 
 A single event heap keyed on (time, sequence) drives timer fires, frame
-deliveries, and scripted actions. The log is a pure function of the
+deliveries, and scripted actions. Each heap entry carries the method that
+runs the event, its node and one argument. Time never runs backwards:
+scheduling before `now` is an error. The log is a pure function of the
 scenario and seed. Log line shape:
   t=<int> node=<name> <EVENT> <details>
 with EVENT in SEND, RECV, DISCARD, RIB, TIMER, ASSIGN, REDIRECT.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, Discarded,
@@ -47,7 +50,7 @@ class Simulator:
         self.latency = latency
         self.rng = random.Random(seed)
         self.faults = faults or FaultPlan()
-        self._heap: list[tuple[int, int, tuple]] = []
+        self._heap: list[tuple[int, int, Callable, _SimNode, object]] = []
         self._seq = 0
         self._tx_count = 0
         self.now = 0
@@ -61,9 +64,9 @@ class Simulator:
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name}")
         sn = _SimNode(name, Node(config), start)
+        self._set_timer(sn, start)
         self.nodes[name] = sn
         self._order.append(name)
-        self._set_timer(sn, start)
         return sn.node
 
     def _require_node(self, name: str) -> _SimNode:
@@ -77,26 +80,26 @@ class Simulator:
 
     # Scheduling -----------------------------------------------------------
 
-    def _schedule(self, at: int, item: tuple) -> None:
-        heapq.heappush(self._heap, (at, self._seq, item))
+    def _schedule(self, at: int, run: Callable, sn: _SimNode, arg: object = None) -> None:
+        if at < self.now:
+            raise ValueError(f"cannot schedule an event at t={at} before now t={self.now}")
+        heapq.heappush(self._heap, (at, self._seq, run, sn, arg))
         self._seq += 1
 
     def _set_timer(self, sn: _SimNode, at: int) -> None:
         sn.timer_token += 1
-        self._schedule(at, ("timer", sn.name, sn.timer_token))
+        self._schedule(at, Simulator._fire_timer, sn, sn.timer_token)
 
     def inject_clnp(self, at: int, from_node: str, source_nsap: bytes,
                     dest_nsap: bytes) -> None:
-        self._require_node(from_node)
-        self._schedule(at, ("clnp", from_node, source_nsap, dest_nsap))
+        self._schedule(at, Simulator._send_clnp, self._require_node(from_node),
+                       (source_nsap, dest_nsap))
 
     def inject_down(self, at: int, name: str) -> None:
-        self._require_node(name)
-        self._schedule(at, ("down", name))
+        self._schedule(at, Simulator._go_down, self._require_node(name))
 
     def inject_up(self, at: int, name: str) -> None:
-        self._require_node(name)
-        self._schedule(at, ("up", name))
+        self._schedule(at, Simulator._go_up, self._require_node(name))
 
     # Transmission ---------------------------------------------------------
 
@@ -119,7 +122,7 @@ class Simulator:
         if ordinal in self.faults.drops:
             return
         for name in self._targets(frame.destination, sender):
-            self._schedule(now + self.latency, ("deliver", name, frame))
+            self._schedule(now + self.latency, Simulator._deliver, self.nodes[name], frame)
 
     def _targets(self, destination: bytes, sender: str) -> list[str]:
         if destination == BROADCAST:
@@ -139,46 +142,40 @@ class Simulator:
         if t_end < self.now:
             raise ValueError("cannot run backwards")
         while self._heap and self._heap[0][0] <= t_end:
-            at, _, item = heapq.heappop(self._heap)
+            at, _, run, sn, arg = heapq.heappop(self._heap)
             self.now = at
-            self._execute(at, item)
+            run(self, sn, arg, at)
         self.now = t_end
         return self.log
 
-    def _execute(self, at: int, item: tuple) -> None:
-        kind = item[0]
-        if kind == "timer":
-            _, name, token = item
-            sn = self.nodes[name]
-            if sn.down or token != sn.timer_token:
-                return
+    def _fire_timer(self, sn: _SimNode, token: int, at: int) -> None:
+        if not sn.down and token == sn.timer_token:
             self._apply(sn, sn.node.on_config_timer(at), at)
-        elif kind == "deliver":
-            _, name, frame = item
-            sn = self.nodes[name]
-            if sn.down:
-                return
-            self.log.append(f"t={at} node={name} RECV src={frame.source.hex()} "
-                            f"payload={frame.payload.hex()}")
-            self._apply(sn, sn.node.handle_frame(frame, at), at)
-        elif kind == "clnp":
-            _, name, src, dst = item
-            sn = self.nodes[name]
-            if sn.down:
-                return
-            hop = sn.node.rib.next_hop(dst, at)
-            dest_snpa = hop.snpa if hop.snpa is not None else BROADCAST
-            frame = Frame(dest_snpa, sn.node.config.snpa, encode_clnp(src, dst))
-            self.transmit(frame, at, name)
-        elif kind == "down":
-            sn = self.nodes[item[1]]
-            sn.down = True
-            sn.timer_token += 1  # cancel any pending fire
-        elif kind == "up":
-            sn = self.nodes[item[1]]
-            if sn.down:
-                sn.down = False
-                self._set_timer(sn, at)
+
+    def _deliver(self, sn: _SimNode, frame: Frame, at: int) -> None:
+        if sn.down:
+            return
+        self.log.append(f"t={at} node={sn.name} RECV src={frame.source.hex()} "
+                        f"payload={frame.payload.hex()}")
+        self._apply(sn, sn.node.handle_frame(frame, at), at)
+
+    def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:
+        if sn.down:
+            return
+        src, dst = addresses
+        hop = sn.node.rib.next_hop(dst, at)
+        dest_snpa = hop.snpa if hop.snpa is not None else BROADCAST
+        frame = Frame(dest_snpa, sn.node.config.snpa, encode_clnp(src, dst))
+        self.transmit(frame, at, sn.name)
+
+    def _go_down(self, sn: _SimNode, _: None, at: int) -> None:
+        sn.down = True
+        sn.timer_token += 1  # cancel any pending fire
+
+    def _go_up(self, sn: _SimNode, _: None, at: int) -> None:
+        if sn.down:
+            sn.down = False
+            self._set_timer(sn, at)
 
     def _apply(self, sn: _SimNode, events, at: int) -> None:
         for ev in events:

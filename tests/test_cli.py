@@ -155,3 +155,36 @@ def test_parser_full_file():
     assert sc.faults.drops == {2}
     assert sc.faults.corruptions == {1: (None, None)}
     assert sc.actions[0].kind == "sendclnp"
+
+
+@pytest.mark.parametrize("line, msg", [
+    ("latency -3", "latency must be ≥ 0"),
+    ("at -4 down A", "time must be ≥ 0"),
+    ("node B role=es snpa=020000000002 afi=", "afi must be one octet"),
+    ("node B role=es snpa=020000000002 afi=0102", "afi must be one octet"),
+    ("corrupt 1 0 abcd", "value must be one octet"),
+    ("corrupt 1 0 zz", "bad hex for value"),
+])
+def test_run_rejects_bad_values(capsys, tmp_path, line, msg):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(f"node A role=es snpa=020000000001\n{line}\n")
+    with pytest.raises(ScenarioError, match=msg):
+        parse_scenario(bad.read_text())
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: ") and msg in err
+
+
+def test_run_accepts_zero_latency_and_time(capsys, tmp_path):
+    ok = tmp_path / "ok.scn"
+    ok.write_text("node A role=es snpa=020000000001 nsap=4900 afi=49\n"
+                  "latency 0\nuntil 1\nat 0 down A\ncorrupt 1 0 ff\n")
+    code, _, err = run_cli(capsys, "run", str(ok))
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("command", ["decode", "run"])
+def test_unreadable_input_is_exit_2(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, command, str(tmp_path / "missing"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "No such file" in err

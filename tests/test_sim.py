@@ -159,3 +159,21 @@ def test_corrupted_hello_is_discarded_not_recorded():
     assert any("node=IS1 RIB" in l and es1_nsap in l for l in by_time(2))
     # The uncorrupted hellos still land normally.
     assert any("node=IS1 RIB" in l and NSAP2.hex() in l for l in by_time(1))
+
+
+def test_scheduling_before_now_rejected():
+    sim = three_node_sim()
+    sim.run_until(10)
+    with pytest.raises(ValueError, match="before now"):
+        sim.inject_down(9, "ES1")
+    with pytest.raises(ValueError, match="before now"):
+        sim.add_node("ES3", es_config(bytes.fromhex("020000000003"), NSAP2), start=3)
+    assert "ES3" not in sim.nodes
+    sim.inject_down(10, "ES1")  # now itself is fine
+
+
+def test_negative_latency_cannot_run_time_backwards():
+    sim = three_node_sim(latency=-3)
+    with pytest.raises(ValueError, match="before now"):
+        sim.run_until(5)
+    assert sim.now == 0
