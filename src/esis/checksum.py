@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 
 # 0-indexed positions of the two checksum octets in the header.
 CSUM_POS = 7
@@ -20,12 +21,9 @@ class HeaderTooShort(ValueError):
 
 
 def _sums(header: bytes) -> tuple[int, int]:
-    # Closed-form equivalent of the running c0/c1 accumulation: the octet at
-    # 0-indexed position i contributes (L - i) times to c1.
-    length = len(header)
-    c0 = sum(header) % 255
-    c1 = sum((length - i) * b for i, b in enumerate(header)) % 255
-    return c0, c1
+    # ISO 8473 Annex C: c1 sums the running c0 after each octet. Reducing
+    # mod 255 once at the end gives the same residues.
+    return sum(header) % 255, sum(accumulate(header)) % 255
 
 
 def verify_checksum(header: bytes) -> ChecksumVerdict:

@@ -124,10 +124,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     until = args.until if args.until is not None else sc.until
     sim = build_simulator(sc)
     log = sim.run_until(until)
-    out_lines = list(log)
-    if args.dump_ribs:
-        out_lines.extend(sim.dump_ribs(until))
-    text = "\n".join(out_lines) + ("\n" if out_lines else "")
+    dump = sim.dump_ribs(until) if args.dump_ribs else []
+    # The empty last item ends every line with a newline; no lines give "".
+    text = "\n".join([*log, *dump, ""])
     if args.log:
         with open(args.log, "w", encoding="utf-8") as f:
             f.write(text)

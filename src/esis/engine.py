@@ -211,16 +211,10 @@ class Node:
             result = self.rib.insert_entry(EntryKind.ES_NEIGHBOR, addr,
                                            source_snpa, p.holding_time, now)
             newly_available |= result is InsertResult.INSERTED
-            events.append(RibChanged(self._entry_line(EntryKind.ES_NEIGHBOR, addr)))
+            events.append(RibChanged(self.rib.entries[EntryKind.ES_NEIGHBOR, addr].dump_line()))
         if self.is_intermediate and newly_available:
             events.append(self._emit(self._ish(), source_snpa))
         return events
-
-    def _entry_line(self, kind: EntryKind, address: bytes) -> str:
-        for e in self.rib.entries:
-            if e.kind is kind and e.address == address:
-                return e.dump_line()
-        raise AssertionError("entry just inserted is missing")
 
     def handle_ish(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         """Record the {NET, SNPA} pair; answer a new IS with one ESH."""
@@ -228,7 +222,7 @@ class Node:
         result = self.rib.insert_entry(EntryKind.IS_NEIGHBOR, body.net,
                                        source_snpa, p.holding_time, now)
         events: list[EngineEvent] = [
-            RibChanged(self._entry_line(EntryKind.IS_NEIGHBOR, body.net))]
+            RibChanged(self.rib.entries[EntryKind.IS_NEIGHBOR, body.net].dump_line())]
         if result is InsertResult.INSERTED and self.local_addresses():
             events.append(self._emit(self._esh(), source_snpa))
         for opt in p.options:

@@ -1,6 +1,8 @@
 """Routing information base: neighbor table plus redirect cache.
 
-Entries carry an absolute expiry time; expiry <= now counts as expired.
+The table is a dict keyed on (kind, address), the cache one keyed on
+destination; a dict keeps insertion order, and a replaced key keeps its
+place. Entries carry an absolute expiry time; expiry <= now is expired.
 Dump lines (stable text interface):
   ES <address-hex> via <snpa-hex> expires <t>
   IS <address-hex> via <snpa-hex> expires <t>
@@ -65,11 +67,12 @@ class RedirectEntry:
 
 
 class Rib:
-    """Neighbor entries and redirects in insertion order, with expiry."""
+    """Neighbor entries by (kind, address), redirects by destination, each
+    in insertion order, with expiry."""
 
     def __init__(self) -> None:
-        self.entries: list[RibEntry] = []
-        self.redirects: list[RedirectEntry] = []
+        self.entries: dict[tuple[EntryKind, bytes], RibEntry] = {}
+        self.redirects: dict[bytes, RedirectEntry] = {}
 
     @property
     def num_of_entry(self) -> int:
@@ -77,56 +80,57 @@ class Rib:
 
     def insert_entry(self, kind: EntryKind, address: bytes, snpa: bytes,
                      holding_time: int, now: int) -> InsertResult:
-        """Upsert keyed on (kind, address); replacing keeps list position."""
-        for e in self.entries:
-            if e.kind is kind and e.address == address:
-                e.snpa = snpa
-                e.expiry = now + holding_time
-                return InsertResult.REPLACED
-        self.entries.append(RibEntry(kind, address, snpa, now + holding_time))
+        """Upsert keyed on (kind, address); replacing keeps the entry's place."""
+        e = self.entries.get((kind, address))
+        if e is not None:
+            e.snpa = snpa
+            e.expiry = now + holding_time
+            return InsertResult.REPLACED
+        self.entries[kind, address] = RibEntry(kind, address, snpa, now + holding_time)
         return InsertResult.INSERTED
 
     def lookup(self, address: bytes, now: int) -> RibEntry | None:
-        for e in self.entries:
+        """First inserted live entry for the address, of either kind."""
+        for e in self.entries.values():
             if e.address == address and e.expiry > now:
                 return e
         return None
 
     def lookup_redirect(self, destination: bytes, now: int) -> RedirectEntry | None:
-        for r in self.redirects:
-            if r.destination == destination and r.expiry > now:
-                return r
+        r = self.redirects.get(destination)
+        if r is not None and r.expiry > now:
+            return r
         return None
 
     def flush_expired(self, now: int) -> int:
         """Drop every entry and redirect with expiry <= now."""
         before = len(self.entries) + len(self.redirects)
-        self.entries = [e for e in self.entries if e.expiry > now]
-        self.redirects = [r for r in self.redirects if r.expiry > now]
+        self.entries = {k: e for k, e in self.entries.items() if e.expiry > now}
+        self.redirects = {d: r for d, r in self.redirects.items() if r.expiry > now}
         return before - len(self.entries) - len(self.redirects)
 
     def record_redirect(self, destination: bytes, better_snpa: bytes,
                         redirect_net: bytes | None, holding_time: int,
                         now: int) -> InsertResult:
-        for r in self.redirects:
-            if r.destination == destination:
-                r.better_snpa = better_snpa
-                r.redirect_net = redirect_net
-                r.expiry = now + holding_time
-                r.holding_time = holding_time
-                return InsertResult.REPLACED
-        self.redirects.append(RedirectEntry(destination, better_snpa,
-                                            redirect_net, now + holding_time,
-                                            holding_time))
+        r = self.redirects.get(destination)
+        if r is not None:
+            r.better_snpa = better_snpa
+            r.redirect_net = redirect_net
+            r.expiry = now + holding_time
+            r.holding_time = holding_time
+            return InsertResult.REPLACED
+        self.redirects[destination] = RedirectEntry(destination, better_snpa,
+                                                    redirect_net, now + holding_time,
+                                                    holding_time)
         return InsertResult.INSERTED
 
     def refresh_redirect(self, destination: bytes, observed_snpa: bytes,
                          now: int, holding_time: int) -> bool:
         """Extend a redirect only when traffic came over the same SNPA."""
-        for r in self.redirects:
-            if r.destination == destination and r.better_snpa == observed_snpa:
-                r.expiry = now + holding_time
-                return True
+        r = self.redirects.get(destination)
+        if r is not None and r.better_snpa == observed_snpa:
+            r.expiry = now + holding_time
+            return True
         return False
 
     def next_hop(self, destination: bytes, now: int) -> NextHop:
@@ -134,25 +138,22 @@ class Rib:
         r = self.lookup_redirect(destination, now)
         if r is not None:
             return NextHop(HopKind.DIRECT, r.better_snpa)
-        for e in self.entries:
-            if (e.kind is EntryKind.ES_NEIGHBOR and e.address == destination
-                    and e.expiry > now):
-                return NextHop(HopKind.DIRECT, e.snpa)
+        e = self.entries.get((EntryKind.ES_NEIGHBOR, destination))
+        if e is not None and e.expiry > now:
+            return NextHop(HopKind.DIRECT, e.snpa)
         # Most recently inserted live IS wins.
-        for e in reversed(self.entries):
+        for e in reversed(self.entries.values()):
             if e.kind is EntryKind.IS_NEIGHBOR and e.expiry > now:
                 return NextHop(HopKind.VIA_IS, e.snpa)
         return UNKNOWN_HOP
 
     def has_live_is(self, now: int) -> bool:
         return any(e.kind is EntryKind.IS_NEIGHBOR and e.expiry > now
-                   for e in self.entries)
+                   for e in self.entries.values())
 
     def dump(self, now: int) -> list[str]:
         """Live entries, sections ES / IS / RD, each in insertion order."""
-        lines = [e.dump_line() for e in self.entries
-                 if e.kind is EntryKind.ES_NEIGHBOR and e.expiry > now]
-        lines += [e.dump_line() for e in self.entries
-                  if e.kind is EntryKind.IS_NEIGHBOR and e.expiry > now]
-        lines += [r.dump_line() for r in self.redirects if r.expiry > now]
-        return lines
+        live = [e for e in self.entries.values() if e.expiry > now]
+        return ([e.dump_line() for e in live if e.kind is EntryKind.ES_NEIGHBOR]
+                + [e.dump_line() for e in live if e.kind is EntryKind.IS_NEIGHBOR]
+                + [r.dump_line() for r in self.redirects.values() if r.expiry > now])

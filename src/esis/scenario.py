@@ -15,10 +15,12 @@ Grammar (one statement per line, '#' starts a comment):
   at <t> down <node>
   at <t> up <node>
 
-Unknown statements or keys are load errors. Fault ordinals count transmit
-calls from 1 across the whole run. `latency` and `at` times must be ≥ 0, so
-virtual time never runs backwards; `afi` and a corrupt value must be
-exactly one octet.
+Unknown statements or keys are load errors. `latency`, `seed`, `until` and
+`drop` take exactly one value. Fault ordinals count transmit calls from 1
+across the whole run, so they must be ≥ 1. `latency`, `until`, `start` and
+`at` times must be ≥ 0, so virtual time never runs backwards; `ct` must be
+≥ 1, `multiplier` ≥ 2 and a corrupt index ≥ 0. `afi` and a corrupt value
+must be exactly one octet.
 """
 
 from __future__ import annotations
@@ -87,11 +89,17 @@ def _int(lineno: int, text: str, what: str, minimum: int | None = None) -> int:
     return value
 
 
-def _parse_node(lineno: int, args: list[str], sc: Scenario) -> None:
+def _one_int(lineno: int, args: list[str], what: str, minimum: int | None = None) -> int:
+    if len(args) != 1:
+        raise ScenarioError(lineno, f"{what} takes exactly one value, got {len(args)}")
+    return _int(lineno, args[0], what, minimum)
+
+
+def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> None:
     if not args:
         raise ScenarioError(lineno, "node needs a name")
     name = args[0]
-    if any(d.name == name for d in sc.nodes):
+    if name in nodes:
         raise ScenarioError(lineno, f"duplicate node name {name}")
     role: Role | None = None
     snpa: bytes | None = None
@@ -117,11 +125,11 @@ def _parse_node(lineno: int, args: list[str], sc: Scenario) -> None:
         elif key == "net":
             net = _hex(lineno, val, "net")
         elif key == "ct":
-            ct = _int(lineno, val, "ct")
+            ct = _int(lineno, val, "ct", minimum=1)
         elif key == "multiplier":
-            multiplier = _int(lineno, val, "multiplier")
+            multiplier = _int(lineno, val, "multiplier", minimum=2)
         elif key == "start":
-            start = _int(lineno, val, "start")
+            start = _int(lineno, val, "start", minimum=0)
         elif key == "profile":
             if val not in ("lenient", "atn"):
                 raise ScenarioError(lineno, f"unknown profile {val!r}")
@@ -134,7 +142,7 @@ def _parse_node(lineno: int, args: list[str], sc: Scenario) -> None:
         raise ScenarioError(lineno, "node needs role=")
     if snpa is None or len(snpa) != SNPA_LEN:
         raise ScenarioError(lineno, f"node needs a {SNPA_LEN}-octet snpa=")
-    if any(d.config.snpa == snpa for d in sc.nodes):
+    if any(d.config.snpa == snpa for d in nodes.values()):
         raise ScenarioError(lineno, f"duplicate snpa {snpa.hex()}")
     if role is Role.INTERMEDIATE_SYSTEM and net is None:
         raise ScenarioError(lineno, "an is node needs net=")
@@ -142,13 +150,13 @@ def _parse_node(lineno: int, args: list[str], sc: Scenario) -> None:
                         local_net=net, configuration_timer=ct,
                         holding_multiplier=multiplier,
                         validation_profile=ValidationProfile(atn=atn, afi=afi))
-    sc.nodes.append(NodeDecl(name, config, start))
+    nodes[name] = NodeDecl(name, config, start)
 
 
-def _parse_forward(lineno: int, args: list[str], sc: Scenario) -> None:
+def _parse_forward(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> None:
     if not args:
         raise ScenarioError(lineno, "forward needs a node name")
-    decl = next((d for d in sc.nodes if d.name == args[0]), None)
+    decl = nodes.get(args[0])
     if decl is None:
         raise ScenarioError(lineno, f"unknown node {args[0]!r}")
     prefix = net = snpa = None
@@ -169,57 +177,58 @@ def _parse_forward(lineno: int, args: list[str], sc: Scenario) -> None:
     decl.config.forwarding_table += (ForwardingEntry(prefix, net, snpa),)
 
 
-def _parse_at(lineno: int, args: list[str], sc: Scenario) -> None:
+def _parse_at(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> Action:
     if len(args) < 3:
         raise ScenarioError(lineno, "at needs: <t> <action> <node> ...")
     at = _int(lineno, args[0], "time", minimum=0)
     kind, node = args[1], args[2]
-    if not any(d.name == node for d in sc.nodes):
+    if node not in nodes:
         raise ScenarioError(lineno, f"unknown node {node!r}")
     if kind == "sendclnp":
         if len(args) != 5:
             raise ScenarioError(lineno, "sendclnp needs <node> <src-hex> <dst-hex>")
-        sc.actions.append(Action(at, kind, node,
-                                 _hex(lineno, args[3], "source nsap"),
-                                 _hex(lineno, args[4], "destination nsap")))
-    elif kind in ("down", "up"):
+        return Action(at, kind, node, _hex(lineno, args[3], "source nsap"),
+                      _hex(lineno, args[4], "destination nsap"))
+    if kind in ("down", "up"):
         if len(args) != 3:
             raise ScenarioError(lineno, f"{kind} takes only a node name")
-        sc.actions.append(Action(at, kind, node))
-    else:
-        raise ScenarioError(lineno, f"unknown action {kind!r}")
+        return Action(at, kind, node)
+    raise ScenarioError(lineno, f"unknown action {kind!r}")
 
 
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
+    nodes: dict[str, NodeDecl] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         stmt, *args = line.split()
         if stmt == "node":
-            _parse_node(lineno, args, sc)
+            _parse_node(lineno, args, nodes)
         elif stmt == "forward":
-            _parse_forward(lineno, args, sc)
+            _parse_forward(lineno, args, nodes)
         elif stmt == "latency":
-            sc.latency = _int(lineno, args[0] if args else "", "latency", minimum=0)
+            sc.latency = _one_int(lineno, args, "latency", minimum=0)
         elif stmt == "seed":
-            sc.seed = _int(lineno, args[0] if args else "", "seed")
+            sc.seed = _one_int(lineno, args, "seed")
         elif stmt == "until":
-            sc.until = _int(lineno, args[0] if args else "", "until")
+            sc.until = _one_int(lineno, args, "until", minimum=0)
         elif stmt == "drop":
-            sc.faults.drops.add(_int(lineno, args[0] if args else "", "ordinal"))
+            sc.faults.drops.add(_one_int(lineno, args, "drop ordinal", minimum=1))
         elif stmt == "corrupt":
             if len(args) != 3:
                 raise ScenarioError(lineno, "corrupt needs <ordinal> <index|random> <value|random>")
-            ordinal = _int(lineno, args[0], "ordinal")
-            idx = None if args[1] == "random" else _int(lineno, args[1], "octet index")
+            ordinal = _int(lineno, args[0], "corrupt ordinal", minimum=1)
+            idx = (None if args[1] == "random"
+                   else _int(lineno, args[1], "octet index", minimum=0))
             val = None if args[2] == "random" else _octet(lineno, args[2], "value")
             sc.faults.corruptions[ordinal] = (idx, val)
         elif stmt == "at":
-            _parse_at(lineno, args, sc)
+            sc.actions.append(_parse_at(lineno, args, nodes))
         else:
             raise ScenarioError(lineno, f"unknown statement {stmt!r}")
+    sc.nodes = list(nodes.values())
     return sc
 
 

@@ -2,9 +2,10 @@
 
 A single event heap keyed on (time, sequence) drives timer fires, frame
 deliveries, and scripted actions. Each heap entry carries the method that
-runs the event, its node and one argument. Time never runs backwards:
-scheduling before `now` is an error. The log is a pure function of the
-scenario and seed. Log line shape:
+runs the event, its node and one argument. A delivery map takes each
+destination SNPA (broadcast, all-ES, all-IS, a node's own) to its receivers
+in add order. Time never runs backwards: scheduling before `now` is an
+error. The log is a pure function of the scenario and seed. Log line shape:
   t=<int> node=<name> <EVENT> <details>
 with EVENT in SEND, RECV, DISCARD, RIB, TIMER, ASSIGN, REDIRECT.
 """
@@ -19,6 +20,8 @@ from dataclasses import dataclass, field
 from .engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, Discarded,
                      Frame, Node, NodeConfig, RedirectIssued, RibChanged, Role,
                      SendFrame, TimerSet, encode_clnp)
+
+_GROUP_ADDRESSES = (BROADCAST, ALL_ES, ALL_IS)
 
 
 @dataclass
@@ -39,7 +42,6 @@ class UnknownNode(KeyError):
 class _SimNode:
     name: str
     node: Node
-    start: int
     down: bool = False
     timer_token: int = 0
 
@@ -56,17 +58,21 @@ class Simulator:
         self.now = 0
         self.log: list[str] = []
         self.nodes: dict[str, _SimNode] = {}
-        self._order: list[str] = []
+        self._groups: dict[bytes, list[_SimNode]] = {}
 
     # Setup --------------------------------------------------------------
 
     def add_node(self, name: str, config: NodeConfig, start: int = 0) -> Node:
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name}")
-        sn = _SimNode(name, Node(config), start)
+        sn = _SimNode(name, Node(config))
         self._set_timer(sn, start)
         self.nodes[name] = sn
-        self._order.append(name)
+        role_group = ALL_ES if config.role is Role.END_SYSTEM else ALL_IS
+        # An SNPA equal to a group address joins no group: membership follows role.
+        unicast = () if config.snpa in _GROUP_ADDRESSES else (config.snpa,)
+        for destination in (BROADCAST, role_group, *unicast):
+            self._groups.setdefault(destination, []).append(sn)
         return sn.node
 
     def _require_node(self, name: str) -> _SimNode:
@@ -111,30 +117,21 @@ class Simulator:
             payload = bytearray(frame.payload)
             if idx is None:
                 idx = self.rng.randrange(len(payload))
+            if not 0 <= idx < len(payload):
+                raise ValueError(f"corrupt rule for frame {ordinal}: octet index {idx} "
+                                 f"is outside its {len(payload)}-octet payload")
             if val is None:
                 # Guaranteed to differ from the original octet.
                 val = (payload[idx] + self.rng.randrange(1, 256)) % 256
-            if 0 <= idx < len(payload):
-                payload[idx] = val
-                frame = Frame(frame.destination, frame.source, bytes(payload))
+            payload[idx] = val
+            frame = Frame(frame.destination, frame.source, bytes(payload))
         self.log.append(f"t={now} node={sender} SEND dst={frame.destination.hex()} "
                         f"payload={frame.payload.hex()}")
         if ordinal in self.faults.drops:
             return
-        for name in self._targets(frame.destination, sender):
-            self._schedule(now + self.latency, Simulator._deliver, self.nodes[name], frame)
-
-    def _targets(self, destination: bytes, sender: str) -> list[str]:
-        if destination == BROADCAST:
-            return [n for n in self._order if n != sender]
-        if destination == ALL_ES:
-            return [n for n in self._order if n != sender
-                    and self.nodes[n].node.config.role is Role.END_SYSTEM]
-        if destination == ALL_IS:
-            return [n for n in self._order if n != sender
-                    and self.nodes[n].node.config.role is Role.INTERMEDIATE_SYSTEM]
-        return [n for n in self._order if n != sender
-                and self.nodes[n].node.config.snpa == destination]
+        for sn in self._groups.get(frame.destination, ()):
+            if sn.name != sender:
+                self._schedule(now + self.latency, Simulator._deliver, sn, frame)
 
     # Event loop -------------------------------------------------------------
 
@@ -197,7 +194,7 @@ class Simulator:
     def dump_ribs(self, now: int | None = None) -> list[str]:
         now = self.now if now is None else now
         lines: list[str] = []
-        for name in self._order:
-            lines.append(f"-- rib {name} --")
-            lines.extend(self.nodes[name].node.rib.dump(now))
+        for sn in self.nodes.values():
+            lines.append(f"-- rib {sn.name} --")
+            lines.extend(sn.node.rib.dump(now))
         return lines

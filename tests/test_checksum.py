@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esis.checksum import (ChecksumVerdict, HeaderTooShort, generate_checksum,
+from esis.checksum import (ChecksumVerdict, HeaderTooShort, _sums, generate_checksum,
                            verify_checksum)
 from helpers import exhaustive_checksum_pairs, random_header
 
@@ -49,6 +49,12 @@ def test_soundness_all_lengths(header):
     out = generate_checksum(header)
     assert verify_checksum(out) is ChecksumVerdict.VALID
     assert out[:7] == header[:7] and out[9:] == header[9:]
+
+
+@given(st.binary(min_size=9, max_size=255))
+@settings(max_examples=300)
+def test_sums_match_iterative_accumulation(header):
+    assert _sums(header) == iterative_sums(header)
 
 
 def test_valid_means_iterative_sums_are_zero():

@@ -164,6 +164,17 @@ def test_parser_full_file():
     ("node B role=es snpa=020000000002 afi=0102", "afi must be one octet"),
     ("corrupt 1 0 abcd", "value must be one octet"),
     ("corrupt 1 0 zz", "bad hex for value"),
+    ("latency 1 2", "latency takes exactly one value"),
+    ("seed 3 junk", "seed takes exactly one value"),
+    ("until 2 x", "until takes exactly one value"),
+    ("drop", "drop ordinal takes exactly one value"),
+    ("node B role=es snpa=020000000002 ct=0", "ct must be ≥ 1"),
+    ("node B role=es snpa=020000000002 multiplier=1", "multiplier must be ≥ 2"),
+    ("node B role=es snpa=020000000002 start=-1", "start must be ≥ 0"),
+    ("until -1", "until must be ≥ 0"),
+    ("drop 0", "drop ordinal must be ≥ 1"),
+    ("corrupt 0 0 ff", "corrupt ordinal must be ≥ 1"),
+    ("corrupt 1 -1 ff", "octet index must be ≥ 0"),
 ])
 def test_run_rejects_bad_values(capsys, tmp_path, line, msg):
     bad = tmp_path / "bad.scn"
@@ -181,6 +192,17 @@ def test_run_accepts_zero_latency_and_time(capsys, tmp_path):
                   "latency 0\nuntil 1\nat 0 down A\ncorrupt 1 0 ff\n")
     code, _, err = run_cli(capsys, "run", str(ok))
     assert code == 0 and err == ""
+
+
+def test_run_corrupt_index_past_payload_is_exit_2(capsys, tmp_path):
+    # Frame 1 is A's 13-octet ESH; index 99 cannot be corrupted.
+    scn = tmp_path / "past.scn"
+    scn.write_text("node A role=es snpa=020000000001 nsap=4900\n"
+                   "until 2\ncorrupt 1 99 ff\n")
+    code, out, err = run_cli(capsys, "run", str(scn))
+    assert code == 2 and out == ""
+    assert err.startswith("error: corrupt rule for frame 1: octet index 99 ")
+    assert "13-octet payload" in err
 
 
 @pytest.mark.parametrize("command", ["decode", "run"])

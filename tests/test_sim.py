@@ -1,6 +1,6 @@
 import pytest
 
-from esis.engine import ALL_ES, BROADCAST, Frame, NodeConfig, Role
+from esis.engine import ALL_ES, ALL_IS, BROADCAST, Frame, NodeConfig, Role
 from esis.sim import FaultPlan, Simulator, UnknownNode
 
 NSAP1 = b"\x49\x01" + bytes(18)
@@ -59,6 +59,28 @@ def test_group_delivery_excludes_sender():
     assert len(recv_lines(sim.run_until(2))) == 2
 
 
+def test_unicast_to_unknown_snpa_reaches_nobody():
+    sim = three_node_sim(start=1000)
+    sim.transmit(Frame(bytes.fromhex("020000000099"), S1, b"\x55"), 0, "ES1")
+    log = sim.run_until(2)
+    assert any(" SEND " in l for l in log)
+    assert recv_lines(log) == []
+
+
+@pytest.mark.parametrize("group", [ALL_ES, ALL_IS, BROADCAST],
+                         ids=["all-es", "all-is", "broadcast"])
+def test_snpa_equal_to_group_address_adds_no_copies(group):
+    # Whatever its SNPA, an ES gets each all-ES and broadcast frame once and
+    # no all-IS frame; the payload octet tells the three frames apart.
+    sim = three_node_sim(start=1000)
+    sim.add_node("ESX", es_config(group, NSAP2), start=1000)
+    for i, destination in enumerate((ALL_ES, ALL_IS, BROADCAST)):
+        sim.transmit(Frame(destination, S1, bytes([i])), 0, "ES1")
+    got = recv_lines(sim.run_until(2))
+    assert [l.split("payload=")[1] for l in got if "node=ESX" in l] == ["00", "02"]
+    assert [l.split("payload=")[1] for l in got if "node=ES2" in l] == ["00", "02"]
+
+
 def test_drop_rule_suppresses_delivery():
     sim = three_node_sim(start=1000, faults=FaultPlan(drops={1}))
     sim.transmit(Frame(S2, S1, b"\x55"), 0, "ES1")
@@ -72,6 +94,12 @@ def test_corruption_mutates_payload():
     sim.transmit(Frame(S2, S1, b"\x55\x66"), 0, "ES1")
     log = sim.run_until(2)
     assert "payload=9966" in recv_lines(log)[0]
+
+
+def test_corruption_index_past_payload_raises():
+    sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={1: (2, 0x99)}))
+    with pytest.raises(ValueError, match="frame 1: octet index 2 is outside its 2-octet"):
+        sim.transmit(Frame(S2, S1, b"\x55\x66"), 0, "ES1")
 
 
 def test_random_corruption_changes_an_octet():
