@@ -118,11 +118,14 @@ class TimerSet:
 EngineEvent = SendFrame | RibChanged | Discarded | AddressAssigned | RedirectIssued | TimerSet
 
 _ROLE_MISMATCH = Discarded(protocol_error(ProtocolDetail.ROLE_MISMATCH))
+_END_SYSTEM, _INTERMEDIATE_SYSTEM = Role
+_ES_NEIGHBOR, _IS_NEIGHBOR = EntryKind
+_INSERTED = InsertResult.INSERTED
 
 
 class Node:
     def __init__(self, config: NodeConfig) -> None:
-        if config.role is Role.INTERMEDIATE_SYSTEM and config.local_net is None:
+        if config.role is _INTERMEDIATE_SYSTEM and config.local_net is None:
             raise ValueError("an intermediate system needs a local NET")
         if config.holding_multiplier < 2:
             raise ValueError("holding multiplier must be ≥ 2")
@@ -135,7 +138,7 @@ class Node:
 
     @property
     def is_intermediate(self) -> bool:
-        return self.config.role is Role.INTERMEDIATE_SYSTEM
+        return self.config.role is _INTERMEDIATE_SYSTEM
 
     @property
     def holding_time(self) -> int:
@@ -197,8 +200,8 @@ class Node:
         return []
 
     def _dispatch(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
-        roles, handler = _HANDLERS[type(p.body)]
-        if self.config.role not in roles:
+        role, handler = _HANDLERS[type(p.body)]
+        if role is not None and self.config.role is not role:
             return [_ROLE_MISMATCH]
         return handler(self, p, source_snpa, now)
 
@@ -208,10 +211,10 @@ class Node:
         events: list[EngineEvent] = []
         newly_available = False
         for addr in body.source_addresses:
-            result = self.rib.insert_entry(EntryKind.ES_NEIGHBOR, addr,
+            result = self.rib.insert_entry(_ES_NEIGHBOR, addr,
                                            source_snpa, p.holding_time, now)
-            newly_available |= result is InsertResult.INSERTED
-            events.append(RibChanged(self.rib.entries[EntryKind.ES_NEIGHBOR, addr].dump_line()))
+            newly_available |= result is _INSERTED
+            events.append(RibChanged(self.rib.entries[_ES_NEIGHBOR, addr].dump_line()))
         if self.is_intermediate and newly_available:
             events.append(self._emit(self._ish(), source_snpa))
         return events
@@ -219,11 +222,11 @@ class Node:
     def handle_ish(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         """Record the {NET, SNPA} pair; answer a new IS with one ESH."""
         body: IshBody = p.body
-        result = self.rib.insert_entry(EntryKind.IS_NEIGHBOR, body.net,
+        result = self.rib.insert_entry(_IS_NEIGHBOR, body.net,
                                        source_snpa, p.holding_time, now)
         events: list[EngineEvent] = [
-            RibChanged(self.rib.entries[EntryKind.IS_NEIGHBOR, body.net].dump_line())]
-        if result is InsertResult.INSERTED and self.local_addresses():
+            RibChanged(self.rib.entries[_IS_NEIGHBOR, body.net].dump_line())]
+        if result is _INSERTED and self.local_addresses():
             events.append(self._emit(self._esh(), source_snpa))
         for opt in p.options:
             if opt.code == OptionCode.ESCT:
@@ -252,7 +255,7 @@ class Node:
                           now: int) -> list[EngineEvent]:
         """Forward the stub CLNP and redirect the sender to a better hop."""
         entry = self.rib.lookup(clnp.destination, now)
-        if entry is not None and entry.kind is EntryKind.ES_NEIGHBOR:
+        if entry is not None and entry.kind is _ES_NEIGHBOR:
             forward_to, net = entry.snpa, None
         else:
             match = self._longest_prefix(clnp.destination)
@@ -288,15 +291,12 @@ class Node:
         return prefix + requester_snpa + b"\x00"
 
 
-_ES_ONLY = frozenset({Role.END_SYSTEM})
-_IS_ONLY = frozenset({Role.INTERMEDIATE_SYSTEM})
-
-# Body class -> (roles that accept it, handler). Any other role discards it
-# with ROLE_MISMATCH.
-_HANDLERS: dict[type, tuple[frozenset[Role], Callable]] = {
-    EshBody: (frozenset(Role), Node.handle_esh),
-    IshBody: (_ES_ONLY, Node.handle_ish),
-    RdBody: (_ES_ONLY, Node.handle_rd),
-    RaBody: (_IS_ONLY, Node.handle_ra),
-    AaBody: (_ES_ONLY, Node.handle_aa),
+# Body class -> (the one role that accepts it, or None for any, handler).
+# Any other role discards it with ROLE_MISMATCH.
+_HANDLERS: dict[type, tuple[Role | None, Callable]] = {
+    EshBody: (None, Node.handle_esh),
+    IshBody: (_END_SYSTEM, Node.handle_ish),
+    RdBody: (_END_SYSTEM, Node.handle_rd),
+    RaBody: (_INTERMEDIATE_SYSTEM, Node.handle_ra),
+    AaBody: (_END_SYSTEM, Node.handle_aa),
 }

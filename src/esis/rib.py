@@ -3,6 +3,9 @@
 The table is a dict keyed on (kind, address), the cache one keyed on
 destination; a dict keeps insertion order, and a replaced key keeps its
 place. Entries carry an absolute expiry time; expiry <= now is expired.
+`flush_expired` returns at once while `now` is below a lower bound on the
+earliest expiry; every method that sets an expiry, which may be shorter than
+the one it replaces, lowers that bound.
 Dump lines (stable text interface):
   ES <address-hex> via <snpa-hex> expires <t>
   IS <address-hex> via <snpa-hex> expires <t>
@@ -12,10 +15,14 @@ Dump lines (stable text interface):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
-class EntryKind(enum.Enum):
+class EntryKind(str, enum.Enum):
+    """A str whose value is the dump token: it hashes and formats in C."""
+    __str__ = str.__str__
+    __format__ = str.__format__
     ES_NEIGHBOR = "ES"
     IS_NEIGHBOR = "IS"
 
@@ -38,6 +45,8 @@ class NextHop:
 
 
 UNKNOWN_HOP = NextHop(HopKind.UNKNOWN)
+_ES, _IS = EntryKind
+_INSERTED, _REPLACED = InsertResult
 
 
 @dataclass
@@ -48,7 +57,7 @@ class RibEntry:
     expiry: int
 
     def dump_line(self) -> str:
-        return (f"{self.kind.value} {self.address.hex()} "
+        return (f"{self.kind} {self.address.hex()} "
                 f"via {self.snpa.hex()} expires {self.expiry}")
 
 
@@ -73,6 +82,7 @@ class Rib:
     def __init__(self) -> None:
         self.entries: dict[tuple[EntryKind, bytes], RibEntry] = {}
         self.redirects: dict[bytes, RedirectEntry] = {}
+        self._flush_at: float = math.inf  # no expiry is below this
 
     @property
     def num_of_entry(self) -> int:
@@ -81,20 +91,26 @@ class Rib:
     def insert_entry(self, kind: EntryKind, address: bytes, snpa: bytes,
                      holding_time: int, now: int) -> InsertResult:
         """Upsert keyed on (kind, address); replacing keeps the entry's place."""
+        expiry = now + holding_time
+        self._flush_at = min(self._flush_at, expiry)
         e = self.entries.get((kind, address))
         if e is not None:
             e.snpa = snpa
-            e.expiry = now + holding_time
-            return InsertResult.REPLACED
-        self.entries[kind, address] = RibEntry(kind, address, snpa, now + holding_time)
-        return InsertResult.INSERTED
+            e.expiry = expiry
+            return _REPLACED
+        self.entries[kind, address] = RibEntry(kind, address, snpa, expiry)
+        return _INSERTED
 
     def lookup(self, address: bytes, now: int) -> RibEntry | None:
         """First inserted live entry for the address, of either kind."""
-        for e in self.entries.values():
-            if e.address == address and e.expiry > now:
-                return e
-        return None
+        es = self.entries.get((_ES, address))
+        is_ = self.entries.get((_IS, address))
+        if es is None or es.expiry <= now:
+            return is_ if is_ is not None and is_.expiry > now else None
+        if is_ is None or is_.expiry <= now:
+            return es
+        # Both kinds are live: the dict's order says which came first.
+        return next(e for e in self.entries.values() if e is es or e is is_)
 
     def lookup_redirect(self, destination: bytes, now: int) -> RedirectEntry | None:
         r = self.redirects.get(destination)
@@ -104,25 +120,30 @@ class Rib:
 
     def flush_expired(self, now: int) -> int:
         """Drop every entry and redirect with expiry <= now."""
+        if now < self._flush_at:
+            return 0
         before = len(self.entries) + len(self.redirects)
         self.entries = {k: e for k, e in self.entries.items() if e.expiry > now}
         self.redirects = {d: r for d, r in self.redirects.items() if r.expiry > now}
+        self._flush_at = min([e.expiry for e in self.entries.values()]
+                             + [r.expiry for r in self.redirects.values()], default=math.inf)
         return before - len(self.entries) - len(self.redirects)
 
     def record_redirect(self, destination: bytes, better_snpa: bytes,
                         redirect_net: bytes | None, holding_time: int,
                         now: int) -> InsertResult:
+        expiry = now + holding_time
+        self._flush_at = min(self._flush_at, expiry)
         r = self.redirects.get(destination)
         if r is not None:
             r.better_snpa = better_snpa
             r.redirect_net = redirect_net
-            r.expiry = now + holding_time
+            r.expiry = expiry
             r.holding_time = holding_time
-            return InsertResult.REPLACED
+            return _REPLACED
         self.redirects[destination] = RedirectEntry(destination, better_snpa,
-                                                    redirect_net, now + holding_time,
-                                                    holding_time)
-        return InsertResult.INSERTED
+                                                    redirect_net, expiry, holding_time)
+        return _INSERTED
 
     def refresh_redirect(self, destination: bytes, observed_snpa: bytes,
                          now: int, holding_time: int) -> bool:
@@ -130,6 +151,7 @@ class Rib:
         r = self.redirects.get(destination)
         if r is not None and r.better_snpa == observed_snpa:
             r.expiry = now + holding_time
+            self._flush_at = min(self._flush_at, r.expiry)
             return True
         return False
 
@@ -138,22 +160,22 @@ class Rib:
         r = self.lookup_redirect(destination, now)
         if r is not None:
             return NextHop(HopKind.DIRECT, r.better_snpa)
-        e = self.entries.get((EntryKind.ES_NEIGHBOR, destination))
+        e = self.entries.get((_ES, destination))
         if e is not None and e.expiry > now:
             return NextHop(HopKind.DIRECT, e.snpa)
         # Most recently inserted live IS wins.
         for e in reversed(self.entries.values()):
-            if e.kind is EntryKind.IS_NEIGHBOR and e.expiry > now:
+            if e.kind is _IS and e.expiry > now:
                 return NextHop(HopKind.VIA_IS, e.snpa)
         return UNKNOWN_HOP
 
     def has_live_is(self, now: int) -> bool:
-        return any(e.kind is EntryKind.IS_NEIGHBOR and e.expiry > now
-                   for e in self.entries.values())
+        return any(e.kind is _IS and e.expiry > now for e in self.entries.values())
 
     def dump(self, now: int) -> list[str]:
         """Live entries, sections ES / IS / RD, each in insertion order."""
-        live = [e for e in self.entries.values() if e.expiry > now]
-        return ([e.dump_line() for e in live if e.kind is EntryKind.ES_NEIGHBOR]
-                + [e.dump_line() for e in live if e.kind is EntryKind.IS_NEIGHBOR]
-                + [r.dump_line() for r in self.redirects.values() if r.expiry > now])
+        es, is_ = [], []
+        for (kind, _), e in self.entries.items():
+            if e.expiry > now:
+                (es if kind is _ES else is_).append(e.dump_line())
+        return es + is_ + [r.dump_line() for r in self.redirects.values() if r.expiry > now]

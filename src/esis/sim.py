@@ -1,11 +1,14 @@
 """Deterministic discrete-event broadcast subnetwork.
 
-A single event heap keyed on (time, sequence) drives timer fires, frame
-deliveries, and scripted actions. Each heap entry carries the method that
-runs the event, its node and one argument. A delivery map takes each
-destination SNPA (broadcast, all-ES, all-IS, a node's own) to its receivers
-in add order. Time never runs backwards: scheduling before `now` is an
-error. The log is a pure function of the scenario and seed. Log line shape:
+Timer fires, frame deliveries and scripted actions are queued in one list
+per virtual time, in the order they were scheduled, under a heap of those
+times; an event for the time being run starts a new list that runs next.
+Each entry carries the method that runs it, its target and one argument.
+A delivery map takes each destination SNPA (broadcast, all-ES, all-IS, a
+node's own) to its receivers in add order, and a frame is one event that
+delivers to them in that order. Time never runs backwards: scheduling
+before `now` is an error. The log is a pure function of the scenario and
+seed. Log line shape:
   t=<int> node=<name> <EVENT> <details>
 with EVENT in SEND, RECV, DISCARD, RIB, TIMER, ASSIGN, REDIRECT.
 """
@@ -52,8 +55,8 @@ class Simulator:
         self.latency = latency
         self.rng = random.Random(seed)
         self.faults = faults or FaultPlan()
-        self._heap: list[tuple[int, int, Callable, _SimNode, object]] = []
-        self._seq = 0
+        self._queue: dict[int, list[tuple[Callable, object, object]]] = {}
+        self._times: list[int] = []  # heap of the keys of _queue
         self._tx_count = 0
         self.now = 0
         self.log: list[str] = []
@@ -86,11 +89,13 @@ class Simulator:
 
     # Scheduling -----------------------------------------------------------
 
-    def _schedule(self, at: int, run: Callable, sn: _SimNode, arg: object = None) -> None:
+    def _schedule(self, at: int, run: Callable, target: object, arg: object = None) -> None:
         if at < self.now:
             raise ValueError(f"cannot schedule an event at t={at} before now t={self.now}")
-        heapq.heappush(self._heap, (at, self._seq, run, sn, arg))
-        self._seq += 1
+        events = self._queue.setdefault(at, [])
+        if not events:
+            heapq.heappush(self._times, at)
+        events.append((run, target, arg))
 
     def _set_timer(self, sn: _SimNode, at: int) -> None:
         sn.timer_token += 1
@@ -125,23 +130,26 @@ class Simulator:
                 val = (payload[idx] + self.rng.randrange(1, 256)) % 256
             payload[idx] = val
             frame = Frame(frame.destination, frame.source, bytes(payload))
+        payload_hex = frame.payload.hex()
         self.log.append(f"t={now} node={sender} SEND dst={frame.destination.hex()} "
-                        f"payload={frame.payload.hex()}")
+                        f"payload={payload_hex}")
         if ordinal in self.faults.drops:
             return
-        for sn in self._groups.get(frame.destination, ()):
-            if sn.name != sender:
-                self._schedule(now + self.latency, Simulator._deliver, sn, frame)
+        receivers = [sn for sn in self._groups.get(frame.destination, ()) if sn.name != sender]
+        if receivers:
+            self._schedule(now + self.latency, Simulator._deliver, receivers,
+                           (frame, f" RECV src={frame.source.hex()} payload={payload_hex}"))
 
     # Event loop -------------------------------------------------------------
 
     def run_until(self, t_end: int) -> list[str]:
         if t_end < self.now:
             raise ValueError("cannot run backwards")
-        while self._heap and self._heap[0][0] <= t_end:
-            at, _, run, sn, arg = heapq.heappop(self._heap)
+        while self._times and self._times[0] <= t_end:
+            at = heapq.heappop(self._times)
             self.now = at
-            run(self, sn, arg, at)
+            for run, target, arg in self._queue.pop(at):
+                run(self, target, arg, at)
         self.now = t_end
         return self.log
 
@@ -149,12 +157,12 @@ class Simulator:
         if not sn.down and token == sn.timer_token:
             self._apply(sn, sn.node.on_config_timer(at), at)
 
-    def _deliver(self, sn: _SimNode, frame: Frame, at: int) -> None:
-        if sn.down:
-            return
-        self.log.append(f"t={at} node={sn.name} RECV src={frame.source.hex()} "
-                        f"payload={frame.payload.hex()}")
-        self._apply(sn, sn.node.handle_frame(frame, at), at)
+    def _deliver(self, receivers: list[_SimNode], delivery: tuple[Frame, str], at: int) -> None:
+        frame, recv = delivery
+        for sn in receivers:
+            if not sn.down:
+                self.log.append(f"t={at} node={sn.name}{recv}")
+                self._apply(sn, sn.node.handle_frame(frame, at), at)
 
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:
         if sn.down:

@@ -151,3 +151,44 @@ def test_model_equivalence_random_ops():
         else:
             assert rib.flush_expired(now) == model.flush(now)
         assert rib.num_of_entry == len(rib.entries) == len(model.entries)
+
+
+def test_lookup_of_address_held_under_both_kinds_returns_first_inserted():
+    for first, second in ((EntryKind.ES_NEIGHBOR, EntryKind.IS_NEIGHBOR),
+                          (EntryKind.IS_NEIGHBOR, EntryKind.ES_NEIGHBOR)):
+        rib = Rib()
+        rib.insert_entry(first, A, S1, 60, 0)
+        rib.insert_entry(second, A, S2, 30, 0)
+        assert rib.lookup(A, 0).kind is first and rib.lookup(A, 0).snpa == S1
+        # A refresh keeps the entry's place; an expired first entry yields.
+        rib.insert_entry(second, A, S2, 90, 10)
+        assert rib.lookup(A, 10).kind is first
+        assert rib.lookup(A, 60).kind is second
+        # Flushed and learned again, the first kind now comes second.
+        rib.flush_expired(60)
+        rib.insert_entry(first, A, S3, 60, 60)
+        assert rib.lookup(A, 60).kind is second
+
+
+def test_entry_replaced_with_shorter_holding_time_is_flushed_at_new_expiry():
+    rib = Rib()
+    rib.insert_entry(EntryKind.ES_NEIGHBOR, A, S1, 100, 0)
+    assert rib.flush_expired(10) == 0
+    rib.insert_entry(EntryKind.ES_NEIGHBOR, A, S1, 20, 10)  # now expires at 30
+    assert rib.flush_expired(29) == 0
+    assert rib.flush_expired(30) == 1
+    assert rib.num_of_entry == 0
+
+
+def test_redirect_with_shorter_holding_time_is_flushed_at_new_expiry():
+    rib = Rib()
+    rib.record_redirect(D, S1, None, 100, 0)
+    assert rib.flush_expired(10) == 0
+    rib.record_redirect(D, S2, None, 5, 10)  # now expires at 15
+    assert rib.flush_expired(15) == 1
+    assert rib.redirects == {}
+    # A refresh with a shorter holding time moves the expiry down as well.
+    rib.record_redirect(D, S1, None, 100, 20)
+    assert rib.flush_expired(30) == 0
+    assert rib.refresh_redirect(D, S1, 30, 10)  # now expires at 40
+    assert rib.flush_expired(40) == 1

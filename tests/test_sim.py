@@ -1,6 +1,8 @@
 import pytest
 
+from esis.checksum import generate_checksum
 from esis.engine import ALL_ES, ALL_IS, BROADCAST, Frame, NodeConfig, Role
+from esis.pdu import EshBody, Pdu, encode
 from esis.sim import FaultPlan, Simulator, UnknownNode
 
 NSAP1 = b"\x49\x01" + bytes(18)
@@ -205,3 +207,39 @@ def test_negative_latency_cannot_run_time_backwards():
     with pytest.raises(ValueError, match="before now"):
         sim.run_until(5)
     assert sim.now == 0
+
+
+def test_zero_latency_reply_runs_after_deliveries_queued_for_its_time():
+    # IS1 answers ES1's first ESH with an ISH at the same t. That reply must
+    # reach ES1 after ES2's frame, which was already queued for t=0; ES1's
+    # ESH in answer to the ISH comes last.
+    sim = three_node_sim(start=1000, latency=0)
+    esh = generate_checksum(encode(Pdu(EshBody((NSAP1,)), holding_time=20)))
+    sim.transmit(Frame(ALL_IS, S1, esh), 0, "ES1")
+    sim.transmit(Frame(S1, S2, b"\x55"), 0, "ES2")
+    got = [(l.split()[1], l.split("src=")[1].split()[0]) for l in recv_lines(sim.run_until(0))]
+    assert got == [("node=IS1", S1.hex()), ("node=ES1", S2.hex()),
+                   ("node=ES1", S3.hex()), ("node=IS1", S1.hex())]
+
+
+def test_batch_reaches_receivers_in_add_order():
+    sim = Simulator()
+    for i, name in enumerate(("Z", "A", "M", "B")):
+        sim.add_node(name, es_config(bytes([2, 0, 0, 0, 0, i]), NSAP1), start=1000)
+    sim.transmit(Frame(BROADCAST, bytes([2, 0, 0, 0, 0, 1]), b"\x55"), 0, "A")
+    assert [l.split()[1] for l in recv_lines(sim.run_until(1))] == [
+        "node=Z", "node=M", "node=B"]
+
+
+def test_down_at_delivery_time_skips_only_batches_queued_after_it():
+    # The down for t=1 is queued before the frame, so ES2 misses it.
+    sim = three_node_sim(start=1000)
+    sim.inject_down(1, "ES2")
+    sim.transmit(Frame(BROADCAST, S1, b"\x55"), 0, "ES1")
+    assert [l.split()[1] for l in recv_lines(sim.run_until(2))] == ["node=IS1"]
+    # Queued the other way round, the batch reaches ES2 before it goes down.
+    sim = three_node_sim(start=1000)
+    sim.transmit(Frame(BROADCAST, S1, b"\x55"), 0, "ES1")
+    sim.inject_down(1, "ES2")
+    assert [l.split()[1] for l in recv_lines(sim.run_until(2))] == [
+        "node=ES2", "node=IS1"]
