@@ -7,11 +7,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from itertools import accumulate
+from types import SimpleNamespace
 
 from . import pdu as pdu_mod
 from .checksum import generate_checksum, verify_checksum
-from .pdu import (PDU_SPECS, AaBody, DiscardReason, EshBody, InvariantViolation,
-                  IshBody, Option, OptionCode, Part, Pdu, RaBody, RdBody)
+from .pdu import (FIXED_LEN, PDU_SPECS, DiscardReason, InvariantViolation, Option, OptionCode,
+                  Part, Pdu)
 from .scenario import build_simulator, load_scenario
 
 _OPT_NAMES = {
@@ -34,47 +37,54 @@ def _parse_opt(spec: str) -> Option:
     name, hexval = spec.split("=", 1)
     if name in _OPT_NAMES:
         code = int(_OPT_NAMES[name])
-    else:
+    elif name.isdecimal():
         code = int(name)
+    else:
+        raise ValueError(f"unknown option {name!r}: use {', '.join(_OPT_NAMES)} or a number")
     return Option(code, _parse_hex(hexval))
 
 
+# --type's names, each the body class it crafts.
+_CRAFT_TYPES = {spec.pdu_type.name.lower(): cls for cls, spec in PDU_SPECS.items()}
+# Each address-part shape: the flag that gives its value, and how many times
+# that flag may be given, in words too. encode rejects an empty NSAP_LIST.
+_PART_FLAGS = {
+    Part.NSAP_LIST: ("addr", range(256), "at most 255"),
+    Part.NSAP: ("addr", range(1, 2), "exactly one"),
+    Part.SNPA: ("snpa", range(1, 2), "exactly one"),
+    Part.NSAP_OR_EMPTY: ("net", range(2), "at most one"),
+}
+
+
 def cmd_craft(args: argparse.Namespace) -> int:
-    addrs = [_parse_hex(a) for a in args.addr]
+    cls = _CRAFT_TYPES[args.type]
     opts = tuple(_parse_opt(o) for o in args.opt)
-    if args.type == "esh":
-        body = EshBody(tuple(addrs))  # encode rejects an empty list
-    elif args.type in ("ish", "aa"):
-        if len(addrs) != 1:
-            raise InvariantViolation(f"{args.type} needs exactly one --addr (the NET)")
-        body = IshBody(addrs[0]) if args.type == "ish" else AaBody(addrs[0])
-    elif args.type == "rd":
-        if len(addrs) != 1:
-            raise InvariantViolation("rd needs exactly one --addr (the destination)")
-        if args.snpa is None:
-            raise InvariantViolation("rd needs --snpa")
-        net = _parse_hex(args.net) if args.net else None
-        body = RdBody(addrs[0], _parse_hex(args.snpa), net)
-    else:
-        if addrs:
-            raise InvariantViolation("ra carries no address")
-        body = RaBody()
-    header = pdu_mod.encode(Pdu(body, holding_time=args.holding, options=opts))
+    given = {flag: getattr(args, flag) for flag, _, _ in _PART_FLAGS.values()}
+    fields: list[bytes | tuple[bytes, ...] | None] = []
+    for name, part in PDU_SPECS[cls].parts:  # each flag fills at most one part
+        flag, counts, words = _PART_FLAGS[part]
+        values = tuple(_parse_hex(v) for v in given.pop(flag))
+        if len(values) not in counts:
+            raise InvariantViolation(f"{args.type} needs {words} --{flag} (its {name})")
+        if part is not Part.NSAP_LIST:
+            values = values[0] if values else None
+        fields.append(values)
+    unused = [f"--{flag}" for flag, values in given.items() if values]
+    if unused:
+        raise InvariantViolation(f"{args.type} takes no {' or '.join(unused)}")
+    header = pdu_mod.encode(Pdu(cls(*fields), holding_time=args.holding, options=opts))
     if not args.no_checksum:
         header = generate_checksum(header)
     print(header.hex())
     return 0
 
 
-_FIXED_FIELDS = (
-    ("nlpid", 0, 1),
-    ("length_indicator", 1, 1),
-    ("version", 2, 1),
-    ("reserved", 3, 1),
-    ("type", 4, 1),
-    ("holding_time", 5, 2),
-    ("checksum", 7, 2),
-)
+# The fixed part's fields in wire order and their widths; each offset is the
+# sum of the widths before it.
+_FIXED_NAMES = ("nlpid", "length_indicator", "version", "reserved", "type", "holding_time",
+                "checksum")
+_FIXED_WIDTHS = (1, 1, 1, 1, 1, 2, 2)
+_FIXED_FIELDS = tuple(zip(_FIXED_NAMES, accumulate(_FIXED_WIDTHS, initial=0), _FIXED_WIDTHS))
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -94,9 +104,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         chunk = raw[off:off + width]
         print(f"{name:<17} @{off:<3} {chunk.hex():<6} "
               f"{int.from_bytes(chunk, 'big')}")
-    if len(raw) >= 9:
+    if len(raw) >= FIXED_LEN:
         li = raw[1]
-        header = raw[:li] if 9 <= li <= len(raw) else raw
+        header = raw[:li] if FIXED_LEN <= li <= len(raw) else raw
         print(f"checksum_verdict  {verify_checksum(header).name}")
     result = pdu_mod.decode(raw)
     if isinstance(result, DiscardReason):
@@ -122,16 +132,17 @@ def _print_body(p: Pdu) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     sc = load_scenario(args.scenario)
     until = args.until if args.until is not None else sc.until
+    if until < 0:
+        raise ValueError(f"--until must be ≥ 0, got {until}")
     sim = build_simulator(sc)
-    log = sim.run_until(until)
-    dump = sim.dump_ribs(until) if args.dump_ribs else []
-    # The empty last item ends every line with a newline; no lines give "".
-    text = "\n".join([*log, *dump, ""])
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    # The output is opened only once the run can start. The simulator only
+    # calls its log's append, so each line goes out as it is logged, and a run
+    # that fails midway leaves the lines logged before the failure.
+    with open(args.log, "w", encoding="utf-8") if args.log else nullcontext(sys.stdout) as out:
+        sim.log = SimpleNamespace(append=lambda line: out.write(line + "\n"))
+        sim.run_until(until)
+        if args.dump_ribs:
+            out.writelines(line + "\n" for line in sim.dump_ribs(until))
     return 0
 
 
@@ -141,11 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     craft = sub.add_parser("craft", help="encode a PDU and print it as hex")
-    craft.add_argument("--type", required=True, choices=["esh", "ish", "rd", "ra", "aa"])
+    craft.add_argument("--type", required=True, choices=list(_CRAFT_TYPES))
     craft.add_argument("--addr", action="append", default=[],
                        help="address hex; repeatable for esh")
-    craft.add_argument("--snpa", help="better-hop SNPA hex (rd only)")
-    craft.add_argument("--net", help="redirect NET hex (rd only)")
+    craft.add_argument("--snpa", action="append", default=[],
+                       help="better-hop SNPA hex (rd only)")
+    craft.add_argument("--net", action="append", default=[],
+                       help="redirect NET hex (rd only)")
     craft.add_argument("--holding", type=int, default=60, help="holding time seconds")
     craft.add_argument("--opt", action="append", default=[],
                        help="option as name=hexvalue (security, priority, esct, "

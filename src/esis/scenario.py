@@ -25,7 +25,9 @@ must be exactly one octet.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .engine import ForwardingEntry, NodeConfig, Role
 from .pdu import SNPA_LEN, ValidationProfile
@@ -95,62 +97,68 @@ def _one_int(lineno: int, args: list[str], what: str, minimum: int | None = None
     return _int(lineno, args[0], what, minimum)
 
 
-def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> None:
+def _key_values(lineno: int, tokens: list[str], converters: dict[str, Callable],
+                what: str) -> list[tuple[str, object]]:
+    """Each key=value token as (key, converters[key](lineno, value, key)), in order."""
+    pairs = []
+    for tok in tokens:
+        if "=" not in tok:
+            raise ScenarioError(lineno, f"expected key=value, got {tok!r}")
+        key, val = tok.split("=", 1)
+        if key not in converters:
+            raise ScenarioError(lineno, f"unknown {what} key {key!r}")
+        pairs.append((key, converters[key](lineno, val, key)))
+    return pairs
+
+
+def _pick(options: dict[str, object], lineno: int, text: str, what: str) -> object:
+    if text not in options:
+        raise ScenarioError(lineno, f"{what} must be {' or '.join(options)}, got {text!r}")
+    return options[text]
+
+
+# Each node key's converter, called as convert(lineno, value, key), so that
+# an error names the key.
+_NODE_KEYS: dict[str, Callable[[int, str, str], object]] = {
+    "role": partial(_pick, {role.value: role for role in Role}),
+    "snpa": _hex,
+    "nsap": _hex,
+    "net": _hex,
+    "ct": partial(_int, minimum=1),
+    "multiplier": partial(_int, minimum=2),
+    "start": partial(_int, minimum=0),
+    "profile": partial(_pick, {"lenient": False, "atn": True}),
+    "afi": _octet,
+}
+
+
+def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
+                snpas: set[bytes]) -> None:
     if not args:
         raise ScenarioError(lineno, "node needs a name")
     name = args[0]
     if name in nodes:
         raise ScenarioError(lineno, f"duplicate node name {name}")
-    role: Role | None = None
-    snpa: bytes | None = None
-    nsaps: list[bytes] = []
-    net: bytes | None = None
-    ct = 30
-    multiplier = 2
-    start = 0
-    atn = False
-    afi = 0x47
-    for tok in args[1:]:
-        if "=" not in tok:
-            raise ScenarioError(lineno, f"expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        if key == "role":
-            if val not in ("es", "is"):
-                raise ScenarioError(lineno, f"role must be es or is, got {val!r}")
-            role = Role(val)
-        elif key == "snpa":
-            snpa = _hex(lineno, val, "snpa")
-        elif key == "nsap":
-            nsaps.append(_hex(lineno, val, "nsap"))
-        elif key == "net":
-            net = _hex(lineno, val, "net")
-        elif key == "ct":
-            ct = _int(lineno, val, "ct", minimum=1)
-        elif key == "multiplier":
-            multiplier = _int(lineno, val, "multiplier", minimum=2)
-        elif key == "start":
-            start = _int(lineno, val, "start", minimum=0)
-        elif key == "profile":
-            if val not in ("lenient", "atn"):
-                raise ScenarioError(lineno, f"unknown profile {val!r}")
-            atn = val == "atn"
-        elif key == "afi":
-            afi = _octet(lineno, val, "afi")
-        else:
-            raise ScenarioError(lineno, f"unknown node key {key!r}")
+    pairs = _key_values(lineno, args[1:], _NODE_KEYS, "node")
+    values = dict(pairs)  # nsap= may repeat; any other key keeps its last value
+    role = values.get("role")
+    snpa = values.get("snpa")
     if role is None:
         raise ScenarioError(lineno, "node needs role=")
     if snpa is None or len(snpa) != SNPA_LEN:
         raise ScenarioError(lineno, f"node needs a {SNPA_LEN}-octet snpa=")
-    if any(d.config.snpa == snpa for d in nodes.values()):
+    if snpa in snpas:
         raise ScenarioError(lineno, f"duplicate snpa {snpa.hex()}")
-    if role is Role.INTERMEDIATE_SYSTEM and net is None:
+    if role is Role.INTERMEDIATE_SYSTEM and "net" not in values:
         raise ScenarioError(lineno, "an is node needs net=")
-    config = NodeConfig(role=role, snpa=snpa, local_nsaps=tuple(nsaps),
-                        local_net=net, configuration_timer=ct,
-                        holding_multiplier=multiplier,
-                        validation_profile=ValidationProfile(atn=atn, afi=afi))
-    nodes[name] = NodeDecl(name, config, start)
+    snpas.add(snpa)
+    profile = ValidationProfile(atn=values.get("profile", False), afi=values.get("afi", 0x47))
+    nsaps = tuple(value for key, value in pairs if key == "nsap")
+    config = NodeConfig(role=role, snpa=snpa, local_nsaps=nsaps, local_net=values.get("net"),
+                        configuration_timer=values.get("ct", 30),
+                        holding_multiplier=values.get("multiplier", 2),
+                        validation_profile=profile)
+    nodes[name] = NodeDecl(name, config, values.get("start", 0))
 
 
 def _parse_forward(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> None:
@@ -159,22 +167,12 @@ def _parse_forward(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> 
     decl = nodes.get(args[0])
     if decl is None:
         raise ScenarioError(lineno, f"unknown node {args[0]!r}")
-    prefix = net = snpa = None
-    for tok in args[1:]:
-        if "=" not in tok:
-            raise ScenarioError(lineno, f"expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        if key == "prefix":
-            prefix = _hex(lineno, val, "prefix")
-        elif key == "net":
-            net = _hex(lineno, val, "net")
-        elif key == "snpa":
-            snpa = _hex(lineno, val, "snpa")
-        else:
-            raise ScenarioError(lineno, f"unknown forward key {key!r}")
-    if prefix is None or net is None or snpa is None:
+    keys = dict.fromkeys(("prefix", "net", "snpa"), _hex)
+    values = dict(_key_values(lineno, args[1:], keys, "forward"))
+    if len(values) != len(keys):
         raise ScenarioError(lineno, "forward needs prefix=, net= and snpa=")
-    decl.config.forwarding_table += (ForwardingEntry(prefix, net, snpa),)
+    entry = ForwardingEntry(values["prefix"], values["net"], values["snpa"])
+    decl.config.forwarding_table += (entry,)
 
 
 def _parse_at(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> Action:
@@ -199,13 +197,14 @@ def _parse_at(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> Actio
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
     nodes: dict[str, NodeDecl] = {}
+    snpas: set[bytes] = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         stmt, *args = line.split()
         if stmt == "node":
-            _parse_node(lineno, args, nodes)
+            _parse_node(lineno, args, nodes, snpas)
         elif stmt == "forward":
             _parse_forward(lineno, args, nodes)
         elif stmt == "latency":
@@ -237,16 +236,18 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario(f.read())
 
 
+# Each action kind's Simulator.inject_* call.
+_INJECT: dict[str, Callable[[Simulator, Action], None]] = {
+    "sendclnp": lambda sim, a: sim.inject_clnp(a.at, a.node, a.source_nsap, a.dest_nsap),
+    "down": lambda sim, a: sim.inject_down(a.at, a.node),
+    "up": lambda sim, a: sim.inject_up(a.at, a.node),
+}
+
+
 def build_simulator(sc: Scenario) -> Simulator:
     sim = Simulator(latency=sc.latency, seed=sc.seed, faults=sc.faults)
     for decl in sc.nodes:
         sim.add_node(decl.name, decl.config, start=decl.start)
     for action in sc.actions:
-        if action.kind == "sendclnp":
-            sim.inject_clnp(action.at, action.node,
-                            action.source_nsap, action.dest_nsap)
-        elif action.kind == "down":
-            sim.inject_down(action.at, action.node)
-        else:
-            sim.inject_up(action.at, action.node)
+        _INJECT[action.kind](sim, action)
     return sim

@@ -8,7 +8,8 @@ A delivery map takes each destination SNPA (broadcast, all-ES, all-IS, a
 node's own) to its receivers in add order, and a frame is one event that
 delivers to them in that order. Time never runs backwards: scheduling
 before `now` is an error. The log is a pure function of the scenario and
-seed. Log line shape:
+seed. `Simulator.log` is a list, but only its `append` is ever called, so
+any object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
 with EVENT in SEND, RECV, DISCARD, RIB, TIMER, ASSIGN, REDIRECT.
 """
@@ -143,6 +144,9 @@ class Simulator:
     # Event loop -------------------------------------------------------------
 
     def run_until(self, t_end: int) -> list[str]:
+        """Run every event up to and including `t_end`; return the log. When an
+        event raises, the rest of that time's events are dropped, and the
+        simulator is not meant to be resumed."""
         if t_end < self.now:
             raise ValueError("cannot run backwards")
         while self._times and self._times[0] <= t_end:
@@ -184,20 +188,7 @@ class Simulator:
 
     def _apply(self, sn: _SimNode, events, at: int) -> None:
         for ev in events:
-            if isinstance(ev, SendFrame):
-                self.transmit(ev.frame, at, sn.name)
-            elif isinstance(ev, RibChanged):
-                self.log.append(f"t={at} node={sn.name} RIB {ev.line}")
-            elif isinstance(ev, Discarded):
-                self.log.append(f"t={at} node={sn.name} DISCARD {ev.reason}")
-            elif isinstance(ev, AddressAssigned):
-                self.log.append(f"t={at} node={sn.name} ASSIGN net={ev.net.hex()}")
-            elif isinstance(ev, RedirectIssued):
-                self.log.append(f"t={at} node={sn.name} REDIRECT "
-                                f"dest={ev.destination.hex()} via={ev.snpa.hex()}")
-            elif isinstance(ev, TimerSet):
-                self.log.append(f"t={at} node={sn.name} TIMER at={ev.at}")
-                self._set_timer(sn, ev.at)
+            _ON_EVENT[type(ev)](self, sn, ev, at)
 
     def dump_ribs(self, now: int | None = None) -> list[str]:
         now = self.now if now is None else now
@@ -206,3 +197,23 @@ class Simulator:
             lines.append(f"-- rib {sn.name} --")
             lines.extend(sn.node.rib.dump(now))
         return lines
+
+
+def _on_timer_set(sim: Simulator, sn: _SimNode, ev: TimerSet, at: int) -> None:
+    sim.log.append(f"t={at} node={sn.name} TIMER at={ev.at}")
+    sim._set_timer(sn, ev.at)
+
+
+# What the simulator does with each engine event class: a SendFrame is put on
+# the wire, and every other event is logged; a TimerSet also re-arms the timer.
+_ON_EVENT: dict[type, Callable] = {
+    SendFrame: lambda sim, sn, ev, at: sim.transmit(ev.frame, at, sn.name),
+    RibChanged: lambda sim, sn, ev, at: sim.log.append(f"t={at} node={sn.name} RIB {ev.line}"),
+    Discarded: lambda sim, sn, ev, at: sim.log.append(
+        f"t={at} node={sn.name} DISCARD {ev.reason}"),
+    AddressAssigned: lambda sim, sn, ev, at: sim.log.append(
+        f"t={at} node={sn.name} ASSIGN net={ev.net.hex()}"),
+    RedirectIssued: lambda sim, sn, ev, at: sim.log.append(
+        f"t={at} node={sn.name} REDIRECT dest={ev.destination.hex()} via={ev.snpa.hex()}"),
+    TimerSet: _on_timer_set,
+}

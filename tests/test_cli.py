@@ -1,6 +1,8 @@
 import pytest
 
-from esis.cli import main
+from esis.checksum import CSUM_POS
+from esis.cli import _FIXED_FIELDS, main
+from esis.pdu import FIXED_LEN
 from esis.scenario import ScenarioError, parse_scenario
 
 NSAP_HEX = "49" + "00" * 19
@@ -175,6 +177,18 @@ def test_parser_full_file():
     ("drop 0", "drop ordinal must be ≥ 1"),
     ("corrupt 0 0 ff", "corrupt ordinal must be ≥ 1"),
     ("corrupt 1 -1 ff", "octet index must be ≥ 0"),
+    ("node B role=xs snpa=020000000002", "role must be es or is, got 'xs'"),
+    ("node B role=es snpa=020000000002 profile=strict",
+     "profile must be lenient or atn, got 'strict'"),
+    ("node B role=es snpa=020000000002 colour=red", "unknown node key 'colour'"),
+    ("node B role=es snpa=020000000002 nsap", "expected key=value, got 'nsap'"),
+    ("forward A prefix=49 net=48ff", "forward needs prefix=, net= and snpa="),
+    ("forward A prefix=49 via=48ff", "unknown forward key 'via'"),
+    ("forward A prefix=49 net=48ff snpa=zz", "bad hex for snpa"),
+    ("at 1 down A now", "down takes only a node name"),
+    ("at 1 sendclnp A 4900", "sendclnp needs <node> <src-hex> <dst-hex>"),
+    ("at 1 sendclnp A 4900 4x", "bad hex for destination nsap"),
+    ("at 1 reboot A", "unknown action 'reboot'"),
 ])
 def test_run_rejects_bad_values(capsys, tmp_path, line, msg):
     bad = tmp_path / "bad.scn"
@@ -210,3 +224,84 @@ def test_unreadable_input_is_exit_2(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, command, str(tmp_path / "missing"))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "No such file" in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["--type", "esh", "--addr", "4900", "--snpa", "020000000001", "--net", "49ff"],
+     "esh takes no --snpa or --net"),
+    (["--type", "ish", "--addr", NSAP_HEX, "--net", "49ff"], "ish takes no --net"),
+    (["--type", "ra", "--addr", "4900"], "ra takes no --addr"),
+])
+def test_craft_rejects_flags_the_type_does_not_use(capsys, argv, flags):
+    code, out, err = run_cli(capsys, "craft", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flags}\n"
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["--type", "ish", "--addr", NSAP_HEX, "--addr", NSAP_HEX],
+     "ish needs exactly one --addr (its net)"),
+    (["--type", "aa"], "aa needs exactly one --addr (its net)"),
+    (["--type", "esh", *["--addr", "4900"] * 256],
+     "esh needs at most 255 --addr (its source_addresses)"),
+    (["--type", "rd", "--addr", NSAP_HEX], "rd needs exactly one --snpa (its better_snpa)"),
+    (["--type", "rd", "--addr", NSAP_HEX, "--snpa", "020000000002", "--net", "49",
+      "--net", "48"], "rd needs at most one --net (its redirect_net)"),
+])
+def test_craft_arity_errors_name_the_flag_and_field(capsys, argv, msg):
+    code, out, err = run_cli(capsys, "craft", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {msg}\n"
+
+
+def test_craft_unknown_option_name_lists_the_names(capsys):
+    code, out, err = run_cli(capsys, "craft", "--type", "ra", "--opt", "foo=01")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown option 'foo': ")
+    assert "security, priority, esct, addrmask, snpamask" in err
+    # A numeric code still works.
+    code, out, _ = run_cli(capsys, "craft", "--type", "ra", "--opt", "197=01")
+    assert code == 0 and out.strip().endswith("c50101")
+
+
+def test_fixed_fields_follow_the_wire_layout():
+    name, off, width = _FIXED_FIELDS[-1]
+    assert (name, off, width) == ("checksum", CSUM_POS, 2)
+    assert off + width == FIXED_LEN
+    assert all(o + w == next_o for (_, o, w), (_, next_o, _) in
+               zip(_FIXED_FIELDS, _FIXED_FIELDS[1:]))
+
+
+@pytest.mark.parametrize("scenario, argv, msg", [
+    ("node A role=es snpa=020000000001\nuntil 5\n", ["--until", "-1"],
+     "--until must be ≥ 0, got -1"),
+    ("node A role=es snpa=020000000001 bogus=1\n", [], "line 1: unknown node key 'bogus'"),
+])
+def test_run_rejected_before_output_opens_no_log(capsys, tmp_path, scenario, argv, msg):
+    scn = tmp_path / "s.scn"
+    scn.write_text(scenario)
+    dest = tmp_path / "out.log"
+    code, out, err = run_cli(capsys, "run", str(scn), *argv, "--log", str(dest))
+    assert code == 2 and out == ""
+    assert err == f"error: {msg}\n"
+    assert not dest.exists()
+
+
+def test_run_failing_midway_leaves_the_lines_before_it(capsys, tmp_path):
+    # At t=0, A sends its ESH to all-IS (frame 1), then to all-ES (frame 2),
+    # whose 13-octet payload has no octet 99.
+    nodes = ("node A role=es snpa=020000000001 nsap=4900\n"
+             "node B role=es snpa=020000000002 nsap=4901\nuntil 5\n")
+    clean, bad = tmp_path / "clean.scn", tmp_path / "bad.scn"
+    clean.write_text(nodes)
+    bad.write_text(nodes + "corrupt 2 99 ff\n")
+    full = tmp_path / "full.log"
+    assert run_cli(capsys, "run", str(clean), "--log", str(full))[0] == 0
+    lines = full.read_text().splitlines(keepends=True)
+    second_send = [i for i, line in enumerate(lines) if " SEND " in line][1]
+    assert second_send == 1
+    dest = tmp_path / "out.log"
+    code, out, err = run_cli(capsys, "run", str(bad), "--log", str(dest))
+    assert code == 2 and out == ""
+    assert err.startswith("error: corrupt rule for frame 2: octet index 99 ")
+    assert dest.read_text() == "".join(lines[:second_send])

@@ -1,5 +1,6 @@
-"""Every shipped scenario's `esis run --dump-ribs` output is byte for byte
-the one recorded in bench/digests.json (which this test only reads)."""
+"""Every shipped scenario's `esis run --dump-ribs` output, to stdout and to a
+`--log` file, is byte for byte the one recorded in bench/digests.json (which
+this test only reads)."""
 
 import hashlib
 import json
@@ -18,9 +19,15 @@ def test_every_shipped_scenario_has_a_digest():
     assert [p.name for p in SCENARIOS] == sorted(SHIPPED)
 
 
-@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
-def test_shipped_scenario_output_matches_recorded_digest(path, tmp_path):
+# Each scenario runs with --log under its file name, and to stdout as <name>-stdout.
+OUTPUTS = [pytest.param(path, output, id=path.name + ("" if output == "log" else "-stdout"))
+           for path in SCENARIOS for output in ("log", "stdout")]
+
+
+@pytest.mark.parametrize("path, output", OUTPUTS)
+def test_shipped_scenario_output_matches_recorded_digest(path, output, tmp_path, capsys):
     log = tmp_path / "out.log"
-    assert main(["run", str(path), "--dump-ribs", "--log", str(log)]) == 0
-    text = log.read_text(encoding="utf-8")
+    to_log = ["--log", str(log)] if output == "log" else []
+    assert main(["run", str(path), "--dump-ribs", *to_log]) == 0
+    text = log.read_text(encoding="utf-8") if output == "log" else capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == SHIPPED[path.name]
