@@ -6,6 +6,7 @@ Exit codes: 0 success / OK, 1 decode verdict DISCARD, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from itertools import accumulate
@@ -13,17 +14,12 @@ from types import SimpleNamespace
 
 from . import pdu as pdu_mod
 from .checksum import generate_checksum, verify_checksum
-from .pdu import (FIXED_LEN, PDU_SPECS, DiscardReason, InvariantViolation, Option, OptionCode,
-                  Part, Pdu)
+from .pdu import (FIXED_LEN, OPTION_RULES, PDU_SPECS, DiscardReason, InvariantViolation,
+                  Option, Part, Pdu)
 from .scenario import build_simulator, load_scenario
 
-_OPT_NAMES = {
-    "security": OptionCode.SECURITY,
-    "priority": OptionCode.PRIORITY,
-    "esct": OptionCode.ESCT,
-    "addrmask": OptionCode.ADDRESS_MASK,
-    "snpamask": OptionCode.SNPA_MASK,
-}
+# --opt's names, each the option code it sets; decode lists options by these names.
+_OPT_CODES = {rule.name: code for code, rule in OPTION_RULES.items()}
 
 
 def _parse_hex(text: str) -> bytes:
@@ -35,12 +31,12 @@ def _parse_opt(spec: str) -> Option:
     if "=" not in spec:
         raise ValueError(f"option must be name=hexvalue, got {spec!r}")
     name, hexval = spec.split("=", 1)
-    if name in _OPT_NAMES:
-        code = int(_OPT_NAMES[name])
+    if name in _OPT_CODES:
+        code = int(_OPT_CODES[name])
     elif name.isdecimal():
         code = int(name)
     else:
-        raise ValueError(f"unknown option {name!r}: use {', '.join(_OPT_NAMES)} or a number")
+        raise ValueError(f"unknown option {name!r}: use {', '.join(_OPT_CODES)} or a number")
     return Option(code, _parse_hex(hexval))
 
 
@@ -126,7 +122,7 @@ def _print_body(p: Pdu) -> None:
         elif value:
             print(f"{name:<17} {value.hex()}")
     for opt in p.options:  # decode admits only known option codes
-        print(f"option {OptionCode(opt.code).name.lower():<11} {opt.value.hex()}")
+        print(f"option {OPTION_RULES[opt.code].name:<11} {opt.value.hex()}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -161,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="redirect NET hex (rd only)")
     craft.add_argument("--holding", type=int, default=60, help="holding time seconds")
     craft.add_argument("--opt", action="append", default=[],
-                       help="option as name=hexvalue (security, priority, esct, "
-                            "addrmask, snpamask) or code=hexvalue")
+                       help=f"option as name=hexvalue ({', '.join(_OPT_CODES)}) "
+                            "or code=hexvalue")
     craft.add_argument("--no-checksum", action="store_true",
                        help="leave checksum octets as 00 00")
     craft.set_defaults(func=cmd_craft)
@@ -189,7 +185,16 @@ def main(argv: list[str] | None = None) -> int:
     # encode invariant) is exit code 2; InvariantViolation and ScenarioError
     # are ValueErrors.
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading, which is not bad input. Point stdout at
+        # devnull so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

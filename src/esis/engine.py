@@ -20,6 +20,7 @@ from .rib import EntryKind, InsertResult, Rib
 ALL_ES = bytes.fromhex("09002b000004")
 ALL_IS = bytes.fromhex("09002b000005")
 BROADCAST = b"\xff" * 6
+_GROUP_ADDRESSES = (BROADCAST, ALL_ES, ALL_IS)
 
 
 class Role(enum.Enum):
@@ -151,7 +152,20 @@ class Node:
             return (self.acquired_net,)
         return ()
 
+    def listens_to(self) -> tuple[bytes, ...]:
+        """The destination SNPAs this node receives: broadcast, its role's group, its own."""
+        group = ALL_IS if self.is_intermediate else ALL_ES
+        # An SNPA equal to a group address joins no group: membership follows role.
+        unicast = () if self.config.snpa in _GROUP_ADDRESSES else (self.config.snpa,)
+        return (BROADCAST, group, *unicast)
+
     # Output path ------------------------------------------------------
+
+    def clnp_frame(self, source: bytes, destination: bytes, now: int) -> Frame:
+        """A stub CLNP frame to the RIB's next hop, or broadcast when it has none."""
+        snpa = self.rib.next_hop(destination, now).snpa
+        return Frame(snpa if snpa is not None else BROADCAST, self.config.snpa,
+                     encode_clnp(source, destination))
 
     def _emit(self, p: Pdu, destination: bytes) -> SendFrame:
         payload = generate_checksum(pdu_mod.encode(p))

@@ -45,8 +45,9 @@ class OptionCode(enum.IntEnum):
 
 @dataclass(frozen=True)
 class OptionRule:
-    """The PDU types an option code may appear on, and the values it may carry."""
+    """An option code's name, the PDU types it may appear on, and its values."""
 
+    name: str  # the name `esis craft --opt` takes and `esis decode` lists
     pdu_types: frozenset[PduType]
     lengths: range = range(1, 256)
     value_ok: Callable[[bytes], bool] | None = None
@@ -54,13 +55,13 @@ class OptionRule:
 
 
 OPTION_RULES: dict[int, OptionRule] = {
-    OptionCode.SECURITY: OptionRule(frozenset(PduType)),
-    OptionCode.PRIORITY: OptionRule(frozenset(PduType), range(1, 2),
+    OptionCode.SECURITY: OptionRule("security", frozenset(PduType)),
+    OptionCode.PRIORITY: OptionRule("priority", frozenset(PduType), range(1, 2),
                                     lambda value: value[0] <= 14, "1 octet, 0..14"),
-    OptionCode.ESCT: OptionRule(frozenset({PduType.ISH}), range(2, 3),
+    OptionCode.ESCT: OptionRule("esct", frozenset({PduType.ISH}), range(2, 3),
                                 lambda value: value != b"\x00\x00", "2 octets, nonzero"),
-    OptionCode.ADDRESS_MASK: OptionRule(frozenset({PduType.RD})),
-    OptionCode.SNPA_MASK: OptionRule(frozenset({PduType.RD})),
+    OptionCode.ADDRESS_MASK: OptionRule("addrmask", frozenset({PduType.RD})),
+    OptionCode.SNPA_MASK: OptionRule("snpamask", frozenset({PduType.RD})),
 }
 
 
@@ -227,8 +228,9 @@ def _require(cond: bool, msg: str) -> None:
         raise InvariantViolation(msg)
 
 
-def _address_fault(part: Part, addr: bytes,
-                   profile: ValidationProfile) -> ProtocolDetail | None:
+def address_fault(part: Part, addr: bytes,
+                  profile: ValidationProfile) -> ProtocolDetail | None:
+    """The rule of `part` that `addr` breaks under `profile`, or None."""
     if part is _SNPA:
         return None if len(addr) == SNPA_LEN else ProtocolDetail.BAD_ADDRESS_LENGTH
     if part is _NSAP_OR_EMPTY and not addr:
@@ -284,7 +286,7 @@ def encode(pdu: Pdu) -> bytes:
             value = (value,)
         for addr in value:
             addr = addr or b""  # NSAP_OR_EMPTY: None is written as length 0
-            if _address_fault(part, addr, LENIENT) is not None:
+            if address_fault(part, addr, LENIENT) is not None:
                 raise InvariantViolation(f"{name} must be {part.value}")
             out.append(len(addr))
             out += addr
@@ -362,7 +364,7 @@ def decode(raw: bytes, profile: ValidationProfile = LENIENT) -> Pdu | DiscardRea
             if off > end:
                 return protocol_error(ProtocolDetail.TRUNCATED_PDU)
             addr = header[off - alen:off]
-            fault = _address_fault(part, addr, profile)
+            fault = address_fault(part, addr, profile)
             if fault is not None:
                 return protocol_error(fault)
             addrs.append(addr)

@@ -3,9 +3,6 @@
 The table is a dict keyed on (kind, address), the cache one keyed on
 destination; a dict keeps insertion order, and a replaced key keeps its
 place. Entries carry an absolute expiry time; expiry <= now is expired.
-`flush_expired` returns at once while `now` is below a lower bound on the
-earliest expiry; every method that sets an expiry, which may be shorter than
-the one it replaces, lowers that bound.
 Dump lines (stable text interface):
   ES <address-hex> via <snpa-hex> expires <t>
   IS <address-hex> via <snpa-hex> expires <t>
@@ -15,7 +12,6 @@ Dump lines (stable text interface):
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 
@@ -82,7 +78,6 @@ class Rib:
     def __init__(self) -> None:
         self.entries: dict[tuple[EntryKind, bytes], RibEntry] = {}
         self.redirects: dict[bytes, RedirectEntry] = {}
-        self._flush_at: float = math.inf  # no expiry is below this
 
     @property
     def num_of_entry(self) -> int:
@@ -92,7 +87,6 @@ class Rib:
                      holding_time: int, now: int) -> InsertResult:
         """Upsert keyed on (kind, address); replacing keeps the entry's place."""
         expiry = now + holding_time
-        self._flush_at = min(self._flush_at, expiry)
         e = self.entries.get((kind, address))
         if e is not None:
             e.snpa = snpa
@@ -119,21 +113,20 @@ class Rib:
         return None
 
     def flush_expired(self, now: int) -> int:
-        """Drop every entry and redirect with expiry <= now."""
-        if now < self._flush_at:
-            return 0
-        before = len(self.entries) + len(self.redirects)
-        self.entries = {k: e for k, e in self.entries.items() if e.expiry > now}
-        self.redirects = {d: r for d, r in self.redirects.items() if r.expiry > now}
-        self._flush_at = min([e.expiry for e in self.entries.values()]
-                             + [r.expiry for r in self.redirects.values()], default=math.inf)
-        return before - len(self.entries) - len(self.redirects)
+        """Drop every entry and redirect with expiry <= now, in place: most
+        calls drop nothing, and a scan costs half of rebuilding both dicts."""
+        dead = [k for k, e in self.entries.items() if e.expiry <= now]
+        for k in dead:
+            del self.entries[k]
+        gone = [d for d, r in self.redirects.items() if r.expiry <= now]
+        for d in gone:
+            del self.redirects[d]
+        return len(dead) + len(gone)
 
     def record_redirect(self, destination: bytes, better_snpa: bytes,
                         redirect_net: bytes | None, holding_time: int,
                         now: int) -> InsertResult:
         expiry = now + holding_time
-        self._flush_at = min(self._flush_at, expiry)
         r = self.redirects.get(destination)
         if r is not None:
             r.better_snpa = better_snpa
@@ -151,7 +144,6 @@ class Rib:
         r = self.redirects.get(destination)
         if r is not None and r.better_snpa == observed_snpa:
             r.expiry = now + holding_time
-            self._flush_at = min(self._flush_at, r.expiry)
             return True
         return False
 

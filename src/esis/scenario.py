@@ -20,7 +20,8 @@ Unknown statements or keys are load errors. `latency`, `seed`, `until` and
 across the whole run, so they must be ≥ 1. `latency`, `until`, `start` and
 `at` times must be ≥ 0, so virtual time never runs backwards; `ct` must be
 ≥ 1, `multiplier` ≥ 2 and a corrupt index ≥ 0. `afi` and a corrupt value
-must be exactly one octet.
+must be exactly one octet. An `snpa=` is 6 octets and an NSAP 1..20 octets;
+a forward `net=` may also be empty.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .engine import ForwardingEntry, NodeConfig, Role
-from .pdu import SNPA_LEN, ValidationProfile
+from .pdu import LENIENT, MAX_NSAP_LEN, Part, ValidationProfile, address_fault
 from .sim import FaultPlan, Simulator
 
 
@@ -72,6 +73,13 @@ def _hex(lineno: int, text: str, what: str) -> bytes:
         return bytes.fromhex(cleaned)
     except ValueError:
         raise ScenarioError(lineno, f"bad hex for {what}: {text!r}")
+
+
+def _address(part: Part, lineno: int, text: str, what: str) -> bytes:
+    addr = _hex(lineno, text, what)
+    if address_fault(part, addr, LENIENT) is not None:
+        raise ScenarioError(lineno, f"{what} must be {part.value}, got {text!r}")
+    return addr
 
 
 def _octet(lineno: int, text: str, what: str) -> int:
@@ -121,9 +129,9 @@ def _pick(options: dict[str, object], lineno: int, text: str, what: str) -> obje
 # an error names the key.
 _NODE_KEYS: dict[str, Callable[[int, str, str], object]] = {
     "role": partial(_pick, {role.value: role for role in Role}),
-    "snpa": _hex,
-    "nsap": _hex,
-    "net": _hex,
+    "snpa": partial(_address, Part.SNPA),
+    "nsap": partial(_address, Part.NSAP),
+    "net": partial(_address, Part.NSAP),
     "ct": partial(_int, minimum=1),
     "multiplier": partial(_int, minimum=2),
     "start": partial(_int, minimum=0),
@@ -145,8 +153,8 @@ def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
     snpa = values.get("snpa")
     if role is None:
         raise ScenarioError(lineno, "node needs role=")
-    if snpa is None or len(snpa) != SNPA_LEN:
-        raise ScenarioError(lineno, f"node needs a {SNPA_LEN}-octet snpa=")
+    if snpa is None:
+        raise ScenarioError(lineno, "node needs snpa=")
     if snpa in snpas:
         raise ScenarioError(lineno, f"duplicate snpa {snpa.hex()}")
     if role is Role.INTERMEDIATE_SYSTEM and "net" not in values:
@@ -167,7 +175,9 @@ def _parse_forward(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> 
     decl = nodes.get(args[0])
     if decl is None:
         raise ScenarioError(lineno, f"unknown node {args[0]!r}")
-    keys = dict.fromkeys(("prefix", "net", "snpa"), _hex)
+    # An empty net= gives redirects through this entry no NET.
+    keys = {"prefix": _hex, "net": partial(_address, Part.NSAP_OR_EMPTY),
+            "snpa": partial(_address, Part.SNPA)}
     values = dict(_key_values(lineno, args[1:], keys, "forward"))
     if len(values) != len(keys):
         raise ScenarioError(lineno, "forward needs prefix=, net= and snpa=")
@@ -185,8 +195,14 @@ def _parse_at(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> Actio
     if kind == "sendclnp":
         if len(args) != 5:
             raise ScenarioError(lineno, "sendclnp needs <node> <src-hex> <dst-hex>")
-        return Action(at, kind, node, _hex(lineno, args[3], "source nsap"),
-                      _hex(lineno, args[4], "destination nsap"))
+        src = _hex(lineno, args[3], "source nsap")
+        dst = _hex(lineno, args[4], "destination nsap")
+        # Lengths are checked inline: `_address` on every line would slow a
+        # parse of many `at` lines by a fifth. It only words the error here.
+        if not (0 < len(src) <= MAX_NSAP_LEN and 0 < len(dst) <= MAX_NSAP_LEN):
+            _address(Part.NSAP, lineno, args[3], "source nsap")
+            _address(Part.NSAP, lineno, args[4], "destination nsap")
+        return Action(at, kind, node, src, dst)
     if kind in ("down", "up"):
         if len(args) != 3:
             raise ScenarioError(lineno, f"{kind} takes only a node name")

@@ -4,12 +4,12 @@ Timer fires, frame deliveries and scripted actions are queued in one list
 per virtual time, in the order they were scheduled, under a heap of those
 times; an event for the time being run starts a new list that runs next.
 Each entry carries the method that runs it, its target and one argument.
-A delivery map takes each destination SNPA (broadcast, all-ES, all-IS, a
-node's own) to its receivers in add order, and a frame is one event that
-delivers to them in that order. Time never runs backwards: scheduling
-before `now` is an error. The log is a pure function of the scenario and
-seed. `Simulator.log` is a list, but only its `append` is ever called, so
-any object with one, such as a writer to a stream, can stand in. Log line shape:
+A delivery map takes each destination SNPA that `Node.listens_to` names to
+its receivers in add order, and a frame is one event that delivers to them
+in that order. Time never runs backwards: scheduling before `now` is an
+error. The log is a pure function of the scenario and seed. `Simulator.log`
+is a list, but only its `append` is ever called, so any object with one,
+such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
 with EVENT in SEND, RECV, DISCARD, RIB, TIMER, ASSIGN, REDIRECT.
 """
@@ -21,11 +21,8 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, Discarded,
-                     Frame, Node, NodeConfig, RedirectIssued, RibChanged, Role,
-                     SendFrame, TimerSet, encode_clnp)
-
-_GROUP_ADDRESSES = (BROADCAST, ALL_ES, ALL_IS)
+from .engine import (AddressAssigned, Discarded, Frame, Node, NodeConfig, RedirectIssued,
+                     RibChanged, SendFrame, TimerSet)
 
 
 @dataclass
@@ -72,10 +69,7 @@ class Simulator:
         sn = _SimNode(name, Node(config))
         self._set_timer(sn, start)
         self.nodes[name] = sn
-        role_group = ALL_ES if config.role is Role.END_SYSTEM else ALL_IS
-        # An SNPA equal to a group address joins no group: membership follows role.
-        unicast = () if config.snpa in _GROUP_ADDRESSES else (config.snpa,)
-        for destination in (BROADCAST, role_group, *unicast):
+        for destination in sn.node.listens_to():
             self._groups.setdefault(destination, []).append(sn)
         return sn.node
 
@@ -169,13 +163,8 @@ class Simulator:
                 self._apply(sn, sn.node.handle_frame(frame, at), at)
 
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:
-        if sn.down:
-            return
-        src, dst = addresses
-        hop = sn.node.rib.next_hop(dst, at)
-        dest_snpa = hop.snpa if hop.snpa is not None else BROADCAST
-        frame = Frame(dest_snpa, sn.node.config.snpa, encode_clnp(src, dst))
-        self.transmit(frame, at, sn.name)
+        if not sn.down:
+            self.transmit(sn.node.clnp_frame(*addresses, at), at, sn.name)
 
     def _go_down(self, sn: _SimNode, _: None, at: int) -> None:
         sn.down = True

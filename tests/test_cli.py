@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from esis.checksum import CSUM_POS
 from esis.cli import _FIXED_FIELDS, main
-from esis.pdu import FIXED_LEN
+from esis.pdu import FIXED_LEN, OPTION_RULES, PduType
 from esis.scenario import ScenarioError, parse_scenario
 
+ROOT = Path(__file__).resolve().parent.parent
 NSAP_HEX = "49" + "00" * 19
+LONG_NSAP_HEX = "49" * 21  # one octet past the NSAP limit
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +196,23 @@ def test_parser_full_file():
     ("at 1 sendclnp A 4900", "sendclnp needs <node> <src-hex> <dst-hex>"),
     ("at 1 sendclnp A 4900 4x", "bad hex for destination nsap"),
     ("at 1 reboot A", "unknown action 'reboot'"),
+    (f"node B role=es snpa=020000000002 nsap={LONG_NSAP_HEX}",
+     f"nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+    ("node R role=is snpa=020000000002 net=", "net must be an NSAP of length 1..20, got ''"),
+    ("node B role=es snpa=0203", "snpa must be an SNPA of 6 octets, got '0203'"),
+    ("forward A prefix=49 net=48ff snpa=0203", "snpa must be an SNPA of 6 octets, got '0203'"),
+    (f"forward A prefix=49 net={LONG_NSAP_HEX} snpa=020000000003",
+     f"or an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),  # net= may also be empty
+    (f"at 1 sendclnp A 4900 {LONG_NSAP_HEX}",
+     f"destination nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+    ("node", "node needs a name"),
+    ("node B snpa=020000000002", "node needs role="),
+    ("node B role=es", "node needs snpa="),
+    ("node B role=es snpa=020000000002 ct=x", "bad integer for ct: 'x'"),
+    ("forward", "forward needs a node name"),
+    ("forward GHOST prefix=49 net=48ff snpa=020000000003", "unknown node 'GHOST'"),
+    ("at 1 down", "at needs: <t> <action> <node>"),
+    ("corrupt 1 0", "corrupt needs <ordinal>"),
 ])
 def test_run_rejects_bad_values(capsys, tmp_path, line, msg):
     bad = tmp_path / "bad.scn"
@@ -264,6 +288,52 @@ def test_craft_unknown_option_name_lists_the_names(capsys):
     assert code == 0 and out.strip().endswith("c50101")
 
 
+def test_craft_option_without_a_value_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "craft", "--type", "ra", "--opt", "esct")
+    assert code == 2 and out == ""
+    assert err == "error: option must be name=hexvalue, got 'esct'\n"
+
+
+# Craft flags for a PDU of the lowest-numbered type each option is legal on.
+_CRAFT_FOR = {
+    PduType.ESH: ["--type", "esh", "--addr", NSAP_HEX],
+    PduType.ISH: ["--type", "ish", "--addr", NSAP_HEX],
+    PduType.RD: ["--type", "rd", "--addr", NSAP_HEX, "--snpa", "020000000002"],
+}
+
+
+@pytest.mark.parametrize("code", list(OPTION_RULES), ids=lambda c: OPTION_RULES[c].name)
+def test_decode_lists_each_option_by_the_name_craft_takes(capsys, code):
+    rule = OPTION_RULES[code]
+    flags = _CRAFT_FOR[min(rule.pdu_types)]
+    value = "01" * rule.lengths.start
+    status, crafted, _ = run_cli(capsys, "craft", *flags, "--opt", f"{int(code)}={value}")
+    assert status == 0
+    status, listing, _ = run_cli_with_stdin(capsys, crafted, "decode")
+    assert status == 0
+    option_lines = [line.split() for line in listing.splitlines() if line.startswith("option ")]
+    assert option_lines == [["option", rule.name, value]]
+    status, again, _ = run_cli(capsys, "craft", *flags, "--opt", f"{rule.name}={value}")
+    assert (status, again) == (0, crafted)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_run_into_a_closed_pipe_is_exit_0(unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "esis.cli", "run",
+                               str(ROOT / "scenarios" / "discovery.scn"), "--until", "3"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_fixed_fields_follow_the_wire_layout():
     name, off, width = _FIXED_FIELDS[-1]
     assert (name, off, width) == ("checksum", CSUM_POS, 2)
@@ -276,6 +346,12 @@ def test_fixed_fields_follow_the_wire_layout():
     ("node A role=es snpa=020000000001\nuntil 5\n", ["--until", "-1"],
      "--until must be ≥ 0, got -1"),
     ("node A role=es snpa=020000000001 bogus=1\n", [], "line 1: unknown node key 'bogus'"),
+    (f"node A role=es snpa=020000000001 nsap={LONG_NSAP_HEX}\n", [],
+     f"line 1: nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+    ("node R role=is snpa=020000000001 net=\n", [],
+     "line 1: net must be an NSAP of length 1..20, got ''"),
+    (f"node A role=es snpa=020000000001\nat 1 sendclnp A 4900 {LONG_NSAP_HEX}\n", [],
+     f"line 2: destination nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
 ])
 def test_run_rejected_before_output_opens_no_log(capsys, tmp_path, scenario, argv, msg):
     scn = tmp_path / "s.scn"

@@ -1,13 +1,13 @@
 import pytest
 
 from esis.checksum import generate_checksum
-from esis.engine import (ALL_ES, ALL_IS, AddressAssigned, Discarded, Frame,
+from esis.engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, Discarded, Frame,
                          ForwardingEntry, MinimalClnpPdu, Node, NodeConfig,
                          RedirectIssued, RibChanged, Role, SendFrame, TimerSet,
                          decode_clnp, encode_clnp)
 from esis.pdu import (AaBody, DiscardKind, EshBody, IshBody, Option,
                       OptionCode, Pdu, PduType, RaBody, RdBody, decode, encode)
-from esis.rib import HopKind
+from esis.rib import EntryKind, HopKind
 
 ES_NSAP = b"\x49\x01" + bytes(18)
 ES2_NSAP = b"\x49\x02" + bytes(18)
@@ -247,6 +247,23 @@ def test_clnp_codec():
     assert clnp == MinimalClnpPdu(ES_NSAP, ES2_NSAP)
     assert decode_clnp(b"\x81\x05\x01") is None
     assert decode_clnp(b"\x82") is None
+
+
+def test_clnp_decode_rejects_a_truncated_destination():
+    assert decode_clnp(b"\x81\x01\x49\x05\x49") is None
+
+
+def test_clnp_frame_goes_to_redirect_then_es_then_latest_is_then_broadcast():
+    node = make_es()
+    is1_snpa, is2_snpa = bytes.fromhex("0200000000a1"), bytes.fromhex("0200000000a2")
+    node.rib.insert_entry(EntryKind.IS_NEIGHBOR, IS_NET, is1_snpa, 100, 0)
+    node.rib.insert_entry(EntryKind.IS_NEIGHBOR, b"\x48" + bytes(19), is2_snpa, 50, 0)
+    node.rib.insert_entry(EntryKind.ES_NEIGHBOR, ES2_NSAP, ES2_SNPA, 30, 0)
+    node.rib.record_redirect(ES2_NSAP, IS_SNPA, None, 20, 0)
+    hops = [node.clnp_frame(ES_NSAP, ES2_NSAP, now) for now in (0, 20, 30, 50, 100)]
+    assert [f.destination for f in hops] == [IS_SNPA, ES2_SNPA, is2_snpa, is1_snpa, BROADCAST]
+    assert all(f.source == ES_SNPA and f.payload == encode_clnp(ES_NSAP, ES2_NSAP)
+               for f in hops)
 
 
 def test_emitted_pdus_roundtrip():

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of esis imports is used in it."""
+"""Source hygiene: every name a module of esis imports is used in it, and
+every private name it defines at module level is read in it."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,35 @@ def test_checker_finds_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_privates(source: str) -> list[str]:
+    """Module-level private defs, classes and single-name assignments that
+    nothing in the module reads. Tuple unpacks are not checked."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names
+                       if name.startswith("_") and not name.startswith("__"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+
+
+def test_checker_finds_unused_private():
+    assert unused_privates("_A = 1\n_B: int = 2\ndef _f(): return _B\nclass _C: pass\n"
+                           "_D, _E = 1, 2\n__all__ = []\nPUBLIC = 3\n_G = 4\nprint(_G)\n") == [
+        "_A (line 1)", "_f (line 3)", "_C (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_privates(path):
+    assert unused_privates(path.read_text(encoding="utf-8")) == []

@@ -146,6 +146,15 @@ def test_down_node_receives_and_sends_nothing():
     assert not any("node=ES2" in l for l in late)
 
 
+def test_sendclnp_queued_for_a_down_node_sends_nothing():
+    for down, sends in ((False, 1), (True, 0)):
+        sim = three_node_sim(start=1000)
+        if down:
+            sim.inject_down(1, "ES1")
+        sim.inject_clnp(2, "ES1", NSAP1, NSAP2)
+        assert sum(l.startswith("t=2 node=ES1 SEND") for l in sim.run_until(3)) == sends
+
+
 def test_up_resumes_hellos():
     sim = three_node_sim()
     sim.inject_down(0, "ES2")
