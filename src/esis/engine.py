@@ -1,7 +1,10 @@
 """Per-node protocol engine: hello emission, input dispatch, redirects.
 
 An engine is a pure state machine: timer fires and received frames go in,
-EngineEvent values come out. All I/O belongs to the simulator.
+EngineEvent values come out. All I/O belongs to the simulator. Input is two
+steps: `decode_payload` reads a payload under a validation profile, and
+`Node.handle_pdu` acts on what it read, so one decode can serve every
+receiver that shares the profile. `Node.handle_frame` does both.
 """
 
 from __future__ import annotations
@@ -62,6 +65,15 @@ def decode_clnp(payload: bytes) -> MinimalClnpPdu | None:
     if off + dlen > len(payload):
         return None
     return MinimalClnpPdu(src, payload[off:off + dlen])
+
+
+def decode_payload(payload: bytes, profile: ValidationProfile
+                   ) -> Pdu | DiscardReason | MinimalClnpPdu | None:
+    """An ES-IS PDU or its discard reason, a stub CLNP PDU, or None to ignore."""
+    nlpid = payload[0] if payload else None
+    if nlpid == NLPID_ESIS:
+        return pdu_mod.decode(payload, profile)
+    return decode_clnp(payload) if nlpid == NLPID_CLNP else None
 
 
 @dataclass(frozen=True)
@@ -196,22 +208,16 @@ class Node:
     # Input path -------------------------------------------------------
 
     def handle_frame(self, frame: Frame, now: int) -> list[EngineEvent]:
-        if frame.source == self.config.snpa or not frame.payload:
+        return self.handle_pdu(decode_payload(frame.payload, self.config.validation_profile),
+                               frame.source, now)
+
+    def handle_pdu(self, decoded: Pdu | DiscardReason | MinimalClnpPdu | None,
+                   source_snpa: bytes, now: int) -> list[EngineEvent]:
+        """Act on `decode_payload`'s result under this node's profile; a frame
+        from this node's own SNPA is ignored."""
+        if source_snpa == self.config.snpa or decoded is None:
             return []
-        nlpid = frame.payload[0]
-        if nlpid == NLPID_ESIS:
-            decoded = pdu_mod.decode(frame.payload, self.config.validation_profile)
-            if isinstance(decoded, DiscardReason):
-                return [Discarded(decoded)]
-            return self._dispatch(decoded, frame.source, now)
-        if nlpid == NLPID_CLNP:
-            clnp = decode_clnp(frame.payload)
-            if clnp is None:
-                return []
-            if self.is_intermediate:
-                return self.handle_clnp_at_is(clnp, frame.source, now)
-            return self.handle_clnp_at_es(clnp, frame.source, now)
-        return []
+        return _ON_INPUT[type(decoded)](self, decoded, source_snpa, now)
 
     def _dispatch(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         role, handler = _HANDLERS[type(p.body)]
@@ -313,4 +319,13 @@ _HANDLERS: dict[type, tuple[Role | None, Callable]] = {
     RdBody: (_END_SYSTEM, Node.handle_rd),
     RaBody: (_INTERMEDIATE_SYSTEM, Node.handle_ra),
     AaBody: (_END_SYSTEM, Node.handle_aa),
+}
+
+# What `handle_pdu` does with each kind of `decode_payload` result.
+_ON_INPUT: dict[type, Callable] = {
+    Pdu: Node._dispatch,
+    DiscardReason: lambda node, reason, source_snpa, now: [Discarded(reason)],
+    MinimalClnpPdu: lambda node, clnp, source_snpa, now: (
+        node.handle_clnp_at_is if node.is_intermediate else node.handle_clnp_at_es
+    )(clnp, source_snpa, now),
 }

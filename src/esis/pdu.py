@@ -182,7 +182,7 @@ class Part(enum.Enum):
     NSAP_LIST = f"a count 1..255, then that many NSAPs of length 1..{MAX_NSAP_LEN}"
     NSAP = f"an NSAP of length 1..{MAX_NSAP_LEN}"
     SNPA = f"an SNPA of {SNPA_LEN} octets"
-    NSAP_OR_EMPTY = f"empty (None) or an NSAP of length 1..{MAX_NSAP_LEN}"
+    NSAP_OR_EMPTY = f"empty or an NSAP of length 1..{MAX_NSAP_LEN}"
 
 
 class PduSpec(NamedTuple):

@@ -45,7 +45,7 @@ _ES, _IS = EntryKind
 _INSERTED, _REPLACED = InsertResult
 
 
-@dataclass
+@dataclass(slots=True)
 class RibEntry:
     kind: EntryKind
     address: bytes
@@ -57,7 +57,7 @@ class RibEntry:
                 f"via {self.snpa.hex()} expires {self.expiry}")
 
 
-@dataclass
+@dataclass(slots=True)
 class RedirectEntry:
     destination: bytes
     better_snpa: bytes

@@ -15,11 +15,13 @@ Grammar (one statement per line, '#' starts a comment):
   at <t> down <node>
   at <t> up <node>
 
-Unknown statements or keys are load errors. `latency`, `seed`, `until` and
-`drop` take exactly one value. Fault ordinals count transmit calls from 1
-across the whole run, so they must be ≥ 1. `latency`, `until`, `start` and
-`at` times must be ≥ 0, so virtual time never runs backwards; `ct` must be
-≥ 1, `multiplier` ≥ 2 and a corrupt index ≥ 0. `afi` and a corrupt value
+Unknown statements or keys are load errors, and so are keys that the
+node's role never reads: `net=` on an es node, `nsap=` on an is node and a
+`forward` line for an es node. `latency`, `seed`, `until` and `drop` take
+exactly one value. Fault ordinals count transmit calls from 1 across the
+whole run, so they must be ≥ 1. `latency`, `until`, `start` and `at` times
+must be ≥ 0, so virtual time never runs backwards; `ct` must be ≥ 1,
+`multiplier` ≥ 2 and a corrupt index ≥ 0. `afi` and a corrupt value
 must be exactly one octet. An `snpa=` is 6 octets and an NSAP 1..20 octets;
 a forward `net=` may also be empty.
 """
@@ -159,6 +161,9 @@ def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
         raise ScenarioError(lineno, f"duplicate snpa {snpa.hex()}")
     if role is Role.INTERMEDIATE_SYSTEM and "net" not in values:
         raise ScenarioError(lineno, "an is node needs net=")
+    unread = "nsap" if role is Role.INTERMEDIATE_SYSTEM else "net"
+    if unread in values:
+        raise ScenarioError(lineno, f"an {role.value} node takes no {unread}=")
     snpas.add(snpa)
     profile = ValidationProfile(atn=values.get("profile", False), afi=values.get("afi", 0x47))
     nsaps = tuple(value for key, value in pairs if key == "nsap")
@@ -181,6 +186,8 @@ def _parse_forward(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> 
     values = dict(_key_values(lineno, args[1:], keys, "forward"))
     if len(values) != len(keys):
         raise ScenarioError(lineno, "forward needs prefix=, net= and snpa=")
+    if decl.config.role is not Role.INTERMEDIATE_SYSTEM:
+        raise ScenarioError(lineno, f"forward needs an is node, {args[0]!r} is an es node")
     entry = ForwardingEntry(values["prefix"], values["net"], values["snpa"])
     decl.config.forwarding_table += (entry,)
 

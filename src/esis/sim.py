@@ -6,10 +6,12 @@ times; an event for the time being run starts a new list that runs next.
 Each entry carries the method that runs it, its target and one argument.
 A delivery map takes each destination SNPA that `Node.listens_to` names to
 its receivers in add order, and a frame is one event that delivers to them
-in that order. Time never runs backwards: scheduling before `now` is an
-error. The log is a pure function of the scenario and seed. `Simulator.log`
-is a list, but only its `append` is ever called, so any object with one,
-such as a writer to a stream, can stand in. Log line shape:
+in that order. It decodes the payload once for each run of receivers that
+share a validation profile, and each receiver acts on the shared result
+through `Node.handle_pdu`. Time never runs backwards: scheduling before
+`now` is an error. The log is a pure function of the scenario and seed.
+`Simulator.log` is a list, but only its `append` is ever called, so any
+object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
 with EVENT in SEND, RECV, DISCARD, RIB, TIMER, ASSIGN, REDIRECT.
 """
@@ -22,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .engine import (AddressAssigned, Discarded, Frame, Node, NodeConfig, RedirectIssued,
-                     RibChanged, SendFrame, TimerSet)
+                     RibChanged, SendFrame, TimerSet, decode_payload)
 
 
 @dataclass
@@ -157,10 +159,16 @@ class Simulator:
 
     def _deliver(self, receivers: list[_SimNode], delivery: tuple[Frame, str], at: int) -> None:
         frame, recv = delivery
+        profile = decoded = None  # the last decode and the profile it was made under
         for sn in receivers:
             if not sn.down:
                 self.log.append(f"t={at} node={sn.name}{recv}")
-                self._apply(sn, sn.node.handle_frame(frame, at), at)
+                node = sn.node
+                # By value: each scenario node holds its own profile object.
+                if profile is None or node.config.validation_profile != profile:
+                    profile = node.config.validation_profile
+                    decoded = decode_payload(frame.payload, profile)
+                self._apply(sn, node.handle_pdu(decoded, frame.source, at), at)
 
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:
         if not sn.down:

@@ -213,6 +213,12 @@ def test_parser_full_file():
     ("forward GHOST prefix=49 net=48ff snpa=020000000003", "unknown node 'GHOST'"),
     ("at 1 down", "at needs: <t> <action> <node>"),
     ("corrupt 1 0", "corrupt needs <ordinal>"),
+    ("node B role=es snpa=020000000002 net=49ff", "an es node takes no net="),
+    ("node R role=is snpa=020000000002 net=49ff nsap=4900", "an is node takes no nsap="),
+    ("forward A prefix=49 net=48ff snpa=020000000003",
+     "forward needs an is node, 'A' is an es node"),
+    (f"forward A prefix=49 net={LONG_NSAP_HEX} snpa=020000000003",
+     f"net must be empty or an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
 ])
 def test_run_rejects_bad_values(capsys, tmp_path, line, msg):
     bad = tmp_path / "bad.scn"

@@ -1,13 +1,18 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esis.checksum import generate_checksum
 from esis.engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, Discarded, Frame,
                          ForwardingEntry, MinimalClnpPdu, Node, NodeConfig,
                          RedirectIssued, RibChanged, Role, SendFrame, TimerSet,
-                         decode_clnp, encode_clnp)
-from esis.pdu import (AaBody, DiscardKind, EshBody, IshBody, Option,
+                         decode_clnp, decode_payload, encode_clnp)
+from esis.pdu import (ATN, LENIENT, AaBody, DiscardKind, EshBody, IshBody, Option,
                       OptionCode, Pdu, PduType, RaBody, RdBody, decode, encode)
 from esis.rib import EntryKind, HopKind
+from helpers import random_nsap, random_pdu
 
 ES_NSAP = b"\x49\x01" + bytes(18)
 ES2_NSAP = b"\x49\x02" + bytes(18)
@@ -15,6 +20,7 @@ IS_NET = b"\x49\xff" + bytes(18)
 ES_SNPA = bytes.fromhex("020000000001")
 ES2_SNPA = bytes.fromhex("020000000002")
 IS_SNPA = bytes.fromhex("0200000000ff")
+ATN_NSAP = b"\x47" + bytes(19)
 
 
 def make_es(**kw):
@@ -271,3 +277,46 @@ def test_emitted_pdus_roundtrip():
         for ev in node.on_config_timer(0):
             if isinstance(ev, SendFrame):
                 assert isinstance(decode(ev.frame.payload), Pdu)
+
+
+def random_payload(rng: random.Random, kind: str) -> bytes:
+    if kind == "esis":
+        return generate_checksum(encode(random_pdu(rng)))
+    if kind == "atn-esis":
+        # Addresses that pass ATN, so that profile also reaches the handlers.
+        body = rng.choice([EshBody((ATN_NSAP,)), IshBody(ATN_NSAP), AaBody(ATN_NSAP),
+                           RdBody(ATN_NSAP, ES2_SNPA, ATN_NSAP), RaBody()])
+        return generate_checksum(encode(Pdu(body, holding_time=rng.randint(0, 99))))
+    if kind == "clnp":
+        return encode_clnp(random_nsap(rng), rng.choice([ES_NSAP, ES2_NSAP, random_nsap(rng)]))
+    return random_nsap(rng, rng.randint(0, 20))  # raw octets, maybe empty
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(["esis", "atn-esis", "clnp", "raw"]),
+       flips=st.lists(st.tuples(st.integers(0, 254), st.integers(0, 255)), max_size=2),
+       cut=st.none() | st.integers(0, 60), profile=st.sampled_from([LENIENT, ATN]),
+       intermediate=st.booleans(), source=st.sampled_from([ES_SNPA, ES2_SNPA, IS_SNPA]))
+def test_handle_frame_is_handle_pdu_of_decode_payload(seed, kind, flips, cut, profile,
+                                                      intermediate, source):
+    rng = random.Random(seed)
+    payload = bytearray(random_payload(rng, kind)[:cut])
+    for index, value in flips:
+        if payload:
+            payload[index % len(payload)] = value
+    forwarding = (ForwardingEntry(b"\x49", IS_NET, ES2_SNPA),)
+    framed, split = [make_is(validation_profile=profile, forwarding_table=forwarding)
+                     if intermediate else make_es(validation_profile=profile)
+                     for _ in range(2)]
+    # Both nodes have seen the same traffic before, so the RIB paths are live.
+    for node in (framed, split):
+        node.handle_frame(frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=50), ES2_SNPA), 0)
+        node.handle_frame(frame_with(Pdu(IshBody(IS_NET), holding_time=50), IS_SNPA), 0)
+    frame = Frame(ALL_ES, source, bytes(payload))
+    got = framed.handle_frame(frame, 5)
+    want = split.handle_pdu(decode_payload(frame.payload, profile), frame.source, 5)
+    assert got == want
+    assert framed.rib.dump(5) == split.rib.dump(5)
+    assert (framed.ct, framed.acquired_net) == (split.ct, split.acquired_net)
+    if source == framed.config.snpa or not payload:
+        assert got == []

@@ -1,8 +1,9 @@
 import pytest
 
+from esis import pdu
 from esis.checksum import generate_checksum
 from esis.engine import ALL_ES, ALL_IS, BROADCAST, Frame, NodeConfig, Role
-from esis.pdu import EshBody, Pdu, encode
+from esis.pdu import EshBody, Pdu, ValidationProfile, encode
 from esis.sim import FaultPlan, Simulator, UnknownNode
 
 NSAP1 = b"\x49\x01" + bytes(18)
@@ -252,3 +253,37 @@ def test_down_at_delivery_time_skips_only_batches_queued_after_it():
     sim.inject_down(1, "ES2")
     assert [l.split()[1] for l in recv_lines(sim.run_until(2))] == [
         "node=ES2", "node=IS1"]
+
+
+def all_es_burst_sim(profiles):
+    """A short-NSAP ES sends one ESH to all-ES; one ES receiver per profile,
+    in that add order, each with a profile object of its own."""
+    sim = Simulator()
+    sim.add_node("SRC", es_config(S1, b"\x49\x01"), start=1000)
+    for i, atn in enumerate(profiles):
+        config = es_config(bytes([2, 0, 0, 0, 1, i]), NSAP2)
+        config.validation_profile = ValidationProfile(atn=atn)
+        sim.add_node(f"R{i}", config, start=1000)
+    esh = generate_checksum(encode(Pdu(EshBody((b"\x49\x01",)), holding_time=20)))
+    sim.transmit(Frame(ALL_ES, S1, esh), 0, "SRC")
+    return sim
+
+
+def test_one_delivery_decodes_once_per_run_of_equal_profiles():
+    # Lenient, atn, lenient: the atn receiver must not reuse the lenient
+    # decode, and the second lenient one must not reuse the atn decode.
+    log = all_es_burst_sim([False, True, False]).run_until(1)
+    acts = [l.split(maxsplit=2)[1:] for l in log if " RECV " not in l and " SEND " not in l]
+    assert acts == [["node=R0", "RIB ES 4901 via 020000000001 expires 21"],
+                    ["node=R1", "DISCARD ProtocolError(BadAddressLength)"],
+                    ["node=R2", "RIB ES 4901 via 020000000001 expires 21"]]
+
+
+def test_one_frame_to_equal_profiles_is_decoded_once(monkeypatch):
+    calls = []
+    decode = pdu.decode
+    monkeypatch.setattr(pdu, "decode", lambda *args: calls.append(args) or decode(*args))
+    sim = all_es_burst_sim([False, False, False])
+    log = sim.run_until(1)
+    assert len(calls) == 1
+    assert sum(" RIB ES 4901 " in l for l in log) == 3
