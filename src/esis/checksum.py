@@ -1,9 +1,13 @@
-"""Fletcher mod-255 header checksum (generate / verify)."""
+"""Fletcher mod-255 header checksum of ISO 8473 Annex C (generate / verify).
+
+For an L-octet header h, s = sum(h) and N(x) = sum(h[i] * x**(L-1-i)), c0 = s and
+c1 = s + N'(1), both mod 255. Since 256 = 1 + 255, int.from_bytes(h, "big") = N(256) is
+s + 255 * N'(1) mod 255**2, so two C-level passes give both sums with no per-octet loop.
+"""
 
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
 
 # 0-indexed positions of the two checksum octets in the header.
 CSUM_POS = 7
@@ -20,10 +24,10 @@ class HeaderTooShort(ValueError):
     pass
 
 
-def _sums(header: bytes) -> tuple[int, int]:
-    # ISO 8473 Annex C: c1 sums the running c0 after each octet. Reducing
-    # mod 255 once at the end gives the same residues.
-    return sum(header) % 255, sum(accumulate(header)) % 255
+def _sums(header: bytes | bytearray) -> tuple[int, int]:
+    s = sum(header)
+    d = (int.from_bytes(header, "big") - s) % 65025 // 255
+    return s % 255, (s + d) % 255
 
 
 def verify_checksum(header: bytes) -> ChecksumVerdict:
@@ -39,8 +43,7 @@ def verify_checksum(header: bytes) -> ChecksumVerdict:
         return ChecksumVerdict.NOT_USED
     if x == 0 or y == 0:
         return ChecksumVerdict.INVALID
-    c0, c1 = _sums(header)
-    if c0 == 0 and c1 == 0:
+    if _sums(header) == (0, 0):
         return ChecksumVerdict.VALID
     return ChecksumVerdict.INVALID
 
@@ -57,12 +60,11 @@ def generate_checksum(header: bytes) -> bytes:
     out = bytearray(header)
     out[CSUM_POS] = 0
     out[CSUM_POS + 1] = 0
-    c0, c1 = _sums(bytes(out))
-    length = len(out)
-    # 1-indexed position of the first checksum octet.
-    n = CSUM_POS + 1
-    x = ((length - n) * c0 - c1) % 255
-    y = (c1 - (length - n + 1) * c0) % 255
+    c0, c1 = _sums(out)
+    # Octets from the first checksum octet (1-indexed CSUM_POS + 1) to the end.
+    k = len(out) - CSUM_POS
+    x = ((k - 1) * c0 - c1) % 255
+    y = (c1 - k * c0) % 255
     out[CSUM_POS] = x or 255
     out[CSUM_POS + 1] = y or 255
     return bytes(out)

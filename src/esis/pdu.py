@@ -43,7 +43,7 @@ class OptionCode(enum.IntEnum):
     SNPA_MASK = 0xE2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptionRule:
     """An option code's name, the PDU types it may appear on, and its values."""
 
@@ -89,7 +89,7 @@ class DiscardKind(enum.Enum):
     PROTOCOL_ERROR = "ProtocolError"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscardReason:
     kind: DiscardKind
     detail: ProtocolDetail | None = None
@@ -113,7 +113,7 @@ class InvariantViolation(ValueError):
     """An encode() precondition was broken; signals a caller bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationProfile:
     """NSAP acceptance rule applied while decoding address parts."""
 
@@ -140,35 +140,35 @@ def validate_nsap(addr: bytes, profile: ValidationProfile = LENIENT) -> Protocol
     return profile.check(addr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Option:
     code: int
     value: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EshBody:
     source_addresses: tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IshBody:
     net: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RdBody:
     destination: bytes
     better_snpa: bytes
     redirect_net: bytes | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RaBody:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AaBody:
     net: bytes
 
@@ -201,14 +201,15 @@ PDU_SPECS: dict[type, PduSpec] = {
     AaBody: PduSpec(PduType.AA, (("net", Part.NSAP),)),
 }
 
-# The codec's loops compare against these names: reading an Enum member off
-# its class costs about 0.1 us on Python 3.11, several times per address.
+# The codec's hot paths compare against these names: reading an Enum member
+# off its class costs about 0.1 us on Python 3.11, several times per address.
 _NSAP_LIST, _NSAP, _SNPA, _NSAP_OR_EMPTY = Part
+_INVALID = ChecksumVerdict.INVALID
 
 _BODY_CLASS: dict[PduType, type] = {spec.pdu_type: cls for cls, spec in PDU_SPECS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pdu:
     body: Body
     holding_time: int = 0
@@ -332,7 +333,7 @@ def decode(raw: bytes, profile: ValidationProfile = LENIENT) -> Pdu | DiscardRea
     if li < FIXED_LEN or li > len(raw):
         return protocol_error(ProtocolDetail.BAD_HEADER_LENGTH)
     header = raw[:li]
-    if verify_checksum(header) is ChecksumVerdict.INVALID:
+    if verify_checksum(header) is _INVALID:
         return CHECKSUM_ERROR
     if header[3] != 0 or header[4] & 0xE0:
         return protocol_error(ProtocolDetail.NONZERO_RESERVED)

@@ -101,3 +101,32 @@ def test_00_ff_alias_passes():
     assert h[5] == 0x00 and h[6] == 0xFF
     swapped = h[:5] + bytes([0xFF, 0x00]) + h[7:]
     assert verify_checksum(swapped) is ChecksumVerdict.VALID
+
+
+def wrap_headers(length: int) -> list[bytes]:
+    # The headers whose octet sum reaches 65,025 and wraps the residue. Octets
+    # 00 and ff are both 0 mod 255, so the first four sum to (0, 0); the last
+    # two, one octet off all-ff, do not.
+    half = length // 2
+    near = b"\xff" * max(length - 1, 0)
+    return [bytes(length), b"\xff" * length, b"\xff" * half + bytes(length - half),
+            bytes(0xFF * (i % 2) for i in range(length)),
+            near + b"\xfe"[:length], b"\x01"[:length] + near]
+
+
+def test_sums_closed_form_at_every_length():
+    for length in range(256):
+        for header in wrap_headers(length):
+            assert _sums(header) == iterative_sums(header), (length, header[:2])
+
+
+def test_sums_read_a_bytearray_as_its_bytes():
+    rng = random.Random(10)
+    for length in range(0, 256, 17):
+        header = bytes(rng.randrange(256) for _ in range(length))
+        assert _sums(bytearray(header)) == _sums(header)
+
+
+def test_all_ff_headers_get_a_valid_checksum():
+    for length in range(9, 256):
+        assert verify_checksum(generate_checksum(b"\xff" * length)) is ChecksumVerdict.VALID

@@ -67,3 +67,36 @@ def test_checker_finds_unused_private():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_privates(path):
     assert unused_privates(path.read_text(encoding="utf-8")) == []
+
+
+def is_true(node: ast.expr | None) -> bool:
+    return isinstance(node, ast.Constant) and node.value is True
+
+
+def unslotted_frozen_dataclasses(source: str) -> list[str]:
+    """Classes decorated `@dataclass(frozen=True, ...)` without `slots=True`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            if (isinstance(deco, ast.Call) and isinstance(deco.func, ast.Name)
+                    and deco.func.id == "dataclass"):
+                flags = {kw.arg: kw.value for kw in deco.keywords}
+                if is_true(flags.get("frozen")) and not is_true(flags.get("slots")):
+                    found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_checker_finds_unslotted_frozen_dataclass():
+    assert unslotted_frozen_dataclasses(
+        "@dataclass(frozen=True)\nclass A: pass\n"
+        "@dataclass(frozen=True, slots=True)\nclass B: pass\n"
+        "@dataclass(slots=False, frozen=True)\nclass C: pass\n"
+        "@dataclass\nclass D: pass\n@dataclass(slots=True)\nclass E: pass\n") == [
+        "A (line 2)", "C (line 6)"]
+
+
+def test_codec_values_are_slotted():
+    # A frozen codec value without slots carries a __dict__ per decoded PDU.
+    assert unslotted_frozen_dataclasses((SRC / "pdu.py").read_text(encoding="utf-8")) == []

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -186,3 +187,35 @@ def test_random_roundtrip_bulk():
 def test_decode_total_on_arbitrary_input(raw):
     out = decode(raw)
     assert isinstance(out, (Pdu, DiscardReason))
+
+
+# Codec values ----------------------------------------------------------------
+
+def codec_values() -> list:
+    rd = RdBody(NSAP, SNPA, NSAP[:4])
+    opt = Option(int(OptionCode.PRIORITY), b"\x03")
+    return [Pdu(rd, holding_time=9, options=(opt,)), EshBody((NSAP,)), IshBody(NSAP), rd,
+            RaBody(), AaBody(NSAP), opt]
+
+
+@pytest.mark.parametrize("value", codec_values(), ids=lambda v: type(v).__name__)
+def test_codec_values_are_frozen_and_slotted(value):
+    assert not hasattr(value, "__dict__")
+    for name in value.__dataclass_fields__:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+
+
+def test_replace_gives_an_equal_new_pdu():
+    p = Pdu(EshBody((NSAP,)), holding_time=30)
+    q = replace(p, checksum=(0, 0))
+    assert q == p and q is not p
+    assert p.without_checksum() == p
+
+
+def test_equal_pdus_hash_equal():
+    opt = Option(int(OptionCode.SECURITY), b"ab")
+    raw = checksummed(Pdu(RdBody(NSAP, SNPA), options=(opt,)))
+    first, second = decode(raw), decode(raw)
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
