@@ -5,6 +5,8 @@ EngineEvent values come out. All I/O belongs to the simulator. Input is two
 steps: `decode_payload` reads a payload under a validation profile, and
 `Node.handle_pdu` acts on what it read, so one decode can serve every
 receiver that shares the profile. `Node.handle_frame` does both.
+Output is one path, `Node._emit`, which encodes and checksums each
+distinct `Pdu` once per node and reuses the octets for every later send.
 """
 
 from __future__ import annotations
@@ -148,6 +150,7 @@ class Node:
         self.rib = Rib()
         self.ct = config.configuration_timer
         self.acquired_net: bytes | None = None
+        self._encoded: dict[Pdu, bytes] = {}  # see _emit
 
     @property
     def is_intermediate(self) -> bool:
@@ -180,7 +183,16 @@ class Node:
                      encode_clnp(source, destination))
 
     def _emit(self, p: Pdu, destination: bytes) -> SendFrame:
-        payload = generate_checksum(pdu_mod.encode(p))
+        """Send `p`, encoded and checksummed once per distinct value.
+
+        `Pdu` is frozen and hashes by value, so a new holding time, option
+        or address is a new key and nothing is ever invalidated. The dict
+        grows with the distinct PDUs this node emits: its hello variants,
+        one AA per requester and one RD per destination and next hop.
+        """
+        payload = self._encoded.get(p)
+        if payload is None:
+            payload = self._encoded[p] = generate_checksum(pdu_mod.encode(p))
         return SendFrame(Frame(destination, self.config.snpa, payload))
 
     def _esh(self) -> Pdu:

@@ -143,7 +143,8 @@ _NODE_KEYS: dict[str, Callable[[int, str, str], object]] = {
 
 
 def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
-                snpas: set[bytes]) -> None:
+                snpas: set[bytes], profiles: dict[tuple[bool, int], ValidationProfile]
+                ) -> None:
     if not args:
         raise ScenarioError(lineno, "node needs a name")
     name = args[0]
@@ -165,7 +166,12 @@ def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
     if unread in values:
         raise ScenarioError(lineno, f"an {role.value} node takes no {unread}=")
     snpas.add(snpa)
-    profile = ValidationProfile(atn=values.get("profile", False), afi=values.get("afi", 0x47))
+    # Nodes with equal settings share one frozen profile, so the simulator's
+    # per-receiver profile check is mostly an identity test.
+    settings = values.get("profile", False), values.get("afi", 0x47)
+    profile = profiles.get(settings)
+    if profile is None:
+        profile = profiles[settings] = ValidationProfile(*settings)
     nsaps = tuple(value for key, value in pairs if key == "nsap")
     config = NodeConfig(role=role, snpa=snpa, local_nsaps=nsaps, local_net=values.get("net"),
                         configuration_timer=values.get("ct", 30),
@@ -221,13 +227,14 @@ def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
     nodes: dict[str, NodeDecl] = {}
     snpas: set[bytes] = set()
+    profiles: dict[tuple[bool, int], ValidationProfile] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         stmt, *args = line.split()
         if stmt == "node":
-            _parse_node(lineno, args, nodes, snpas)
+            _parse_node(lineno, args, nodes, snpas, profiles)
         elif stmt == "forward":
             _parse_forward(lineno, args, nodes)
         elif stmt == "latency":

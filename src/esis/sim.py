@@ -6,10 +6,11 @@ times; an event for the time being run starts a new list that runs next.
 Each entry carries the method that runs it, its target and one argument.
 A delivery map takes each destination SNPA that `Node.listens_to` names to
 its receivers in add order, and a frame is one event that delivers to them
-in that order. It decodes the payload once for each run of receivers that
-share a validation profile, and each receiver acts on the shared result
-through `Node.handle_pdu`. Time never runs backwards: scheduling before
-`now` is an error. The log is a pure function of the scenario and seed.
+in that order. Each receiver acts through `Node.handle_pdu` on the decode
+of the payload under its validation profile, and a simulator decodes each
+distinct (payload, profile) pair once, so a hello repeated every period is
+decoded once. Time never runs backwards: scheduling before `now` is an
+error. The log is a pure function of the scenario and seed.
 `Simulator.log` is a list, but only its `append` is ever called, so any
 object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
@@ -25,6 +26,10 @@ from dataclasses import dataclass, field
 
 from .engine import (AddressAssigned, Discarded, Frame, Node, NodeConfig, RedirectIssued,
                      RibChanged, SendFrame, TimerSet, decode_payload)
+from .pdu import ValidationProfile
+
+# `_deliver`'s marker for a pair not decoded yet: None is a decode result.
+_UNSEEN = object()
 
 
 @dataclass
@@ -62,6 +67,7 @@ class Simulator:
         self.log: list[str] = []
         self.nodes: dict[str, _SimNode] = {}
         self._groups: dict[bytes, list[_SimNode]] = {}
+        self._decoded: dict[tuple[bytes, ValidationProfile], object] = {}  # see _deliver
 
     # Setup --------------------------------------------------------------
 
@@ -158,16 +164,29 @@ class Simulator:
             self._apply(sn, sn.node.on_config_timer(at), at)
 
     def _deliver(self, receivers: list[_SimNode], delivery: tuple[Frame, str], at: int) -> None:
+        """Hand the frame to each receiver that is up, in add order.
+
+        When a receiver's profile differs from the last one's, the decode is
+        read from `_decoded`, keyed on the payload and the profile by value,
+        and made only for a pair not seen before. Decode results are frozen,
+        so receivers and later frames share them. The dict grows with the
+        distinct payloads sent and the profiles that read them.
+        """
         frame, recv = delivery
         profile = decoded = None  # the last decode and the profile it was made under
         for sn in receivers:
             if not sn.down:
                 self.log.append(f"t={at} node={sn.name}{recv}")
                 node = sn.node
-                # By value: each scenario node holds its own profile object.
-                if profile is None or node.config.validation_profile != profile:
+                # Scenario nodes with equal settings share one profile object;
+                # a library caller's equal copies still compare equal by value.
+                if node.config.validation_profile is not profile and (
+                        profile is None or node.config.validation_profile != profile):
                     profile = node.config.validation_profile
-                    decoded = decode_payload(frame.payload, profile)
+                    key = frame.payload, profile
+                    decoded = self._decoded.get(key, _UNSEEN)
+                    if decoded is _UNSEEN:
+                        decoded = self._decoded[key] = decode_payload(frame.payload, profile)
                 self._apply(sn, node.handle_pdu(decoded, frame.source, at), at)
 
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:

@@ -166,6 +166,23 @@ def test_parser_full_file():
     assert sc.actions[0].kind == "sendclnp"
 
 
+def test_parser_shares_one_profile_per_distinct_setting():
+    sc = parse_scenario(
+        "node A role=es snpa=020000000001\n"
+        "node B role=es snpa=020000000002 profile=lenient afi=47\n"
+        "node C role=es snpa=020000000003 profile=atn\n"
+        "node D role=es snpa=020000000004 profile=atn afi=47\n"
+        "node E role=es snpa=020000000005 profile=atn afi=39\n")
+    a, b, c, d, e = (decl.config.validation_profile for decl in sc.nodes)
+    assert a is b and c is d
+    assert a != c and c != e
+    assert (e.atn, e.afi) == (True, 0x39)
+    # The sharing is per parse: a second parse makes profiles of its own.
+    again = parse_scenario("node A role=es snpa=020000000001\n").nodes[0]
+    assert again.config.validation_profile == a
+    assert again.config.validation_profile is not a
+
+
 @pytest.mark.parametrize("line, msg", [
     ("latency -3", "latency must be ≥ 0"),
     ("at -4 down A", "time must be ≥ 0"),

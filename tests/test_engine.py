@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from esis import pdu as pdu_mod
 from esis.checksum import generate_checksum
 from esis.engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, Discarded, Frame,
                          ForwardingEntry, MinimalClnpPdu, Node, NodeConfig,
@@ -270,6 +271,49 @@ def test_clnp_frame_goes_to_redirect_then_es_then_latest_is_then_broadcast():
     assert [f.destination for f in hops] == [IS_SNPA, ES2_SNPA, is2_snpa, is1_snpa, BROADCAST]
     assert all(f.source == ES_SNPA and f.payload == encode_clnp(ES_NSAP, ES2_NSAP)
                for f in hops)
+
+
+def hello_pdus(node, now):
+    return [p for p, _ in sent_pdus(node.on_config_timer(now))]
+
+
+def test_esh_after_esct_carries_the_new_holding_time():
+    node = make_es()
+    assert [p.holding_time for p in hello_pdus(node, 0)] == [20, 20]
+    ish = Pdu(IshBody(IS_NET), holding_time=60,
+              options=(Option(OptionCode.ESCT, b"\x00\x07"),))
+    # The reply to a new IS goes out before the ESCT is applied.
+    reply = sent_pdus(node.handle_frame(frame_with(ish, IS_SNPA, ES_SNPA), 1))
+    assert [p.holding_time for p, _ in reply] == [20]
+    assert [p.holding_time for p in hello_pdus(node, 8)] == [14]
+
+
+def test_es_sends_esh_with_acquired_net_after_aa():
+    node = make_es(local_nsaps=())
+    assert [type(p.body) for p in hello_pdus(node, 0)] == [RaBody]
+    node.handle_frame(frame_with(Pdu(AaBody(ES2_NSAP), holding_time=60),
+                                 IS_SNPA, ES_SNPA), 1)
+    # No IS is known yet, so the ESH goes to both groups.
+    assert [p.body for p in hello_pdus(node, 10)] == [EshBody((ES2_NSAP,))] * 2
+
+
+def test_hellos_encode_each_distinct_pdu_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pdu_mod, "encode", lambda p: calls.append(p) or encode(p))
+    es, is_ = make_es(), make_is()
+    sends = 0
+    for now in range(0, 60, 10):
+        for node, peer in ((es, is_), (is_, es)):
+            for ev in node.on_config_timer(now):
+                if isinstance(ev, SendFrame):
+                    sends += 1
+                    for reply in peer.handle_frame(ev.frame, now):
+                        sends += isinstance(reply, SendFrame)
+    # At t=0 the ESH to both groups, the ISH reply to it, the ISH hello and
+    # the ESH reply to that; then one hello per node for five periods.
+    assert sends == 15
+    assert calls == [Pdu(EshBody((ES_NSAP,)), holding_time=20),
+                     Pdu(IshBody(IS_NET), holding_time=20)]
 
 
 def test_emitted_pdus_roundtrip():

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of esis imports is used in it, and
-every private name it defines at module level is read in it."""
+"""Source hygiene: every name a module of esis imports is used in it, every
+private name it defines at module level is read in it, and no module uses
+a process-wide cache from functools."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "esis"
 # The package __init__ imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -100,3 +102,42 @@ def test_checker_finds_unslotted_frozen_dataclass():
 def test_codec_values_are_slotted():
     # A frozen codec value without slots carries a __dict__ per decoded PDU.
     assert unslotted_frozen_dataclasses((SRC / "pdu.py").read_text(encoding="utf-8")) == []
+
+
+FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def functools_caches(source: str) -> list[str]:
+    """Every use of functools' caches: a `from functools import` of one, or
+    one read as an attribute of a name that `import functools` bound."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name in FUNCTOOLS_CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in FUNCTOOLS_CACHES
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_checker_finds_functools_caches():
+    assert functools_caches(
+        "from functools import partial, lru_cache as lru\n"
+        "import functools\nimport functools as ft\n"
+        "@functools.cache\ndef f(): pass\n"
+        "class A:\n    @ft.cached_property\n    def g(self): pass\n"
+        "self.cache = {}\nother.lru_cache = None\n") == [
+        "lru_cache (line 1)", "cache (line 4)", "cached_property (line 7)"]
+    assert functools_caches("from functools import partial, reduce\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_functools_caches(path):
+    # A cache that outlives a Node or Simulator would be shared by every run
+    # in the process, and a log must stay a pure function of its scenario.
+    assert functools_caches(path.read_text(encoding="utf-8")) == []

@@ -255,6 +255,10 @@ def test_down_at_delivery_time_skips_only_batches_queued_after_it():
         "node=ES2", "node=IS1"]
 
 
+# An ESH with a 2-octet NSAP: lenient receivers learn it, atn ones discard it.
+SHORT_ESH = generate_checksum(encode(Pdu(EshBody((b"\x49\x01",)), holding_time=20)))
+
+
 def all_es_burst_sim(profiles):
     """A short-NSAP ES sends one ESH to all-ES; one ES receiver per profile,
     in that add order, each with a profile object of its own."""
@@ -264,8 +268,7 @@ def all_es_burst_sim(profiles):
         config = es_config(bytes([2, 0, 0, 0, 1, i]), NSAP2)
         config.validation_profile = ValidationProfile(atn=atn)
         sim.add_node(f"R{i}", config, start=1000)
-    esh = generate_checksum(encode(Pdu(EshBody((b"\x49\x01",)), holding_time=20)))
-    sim.transmit(Frame(ALL_ES, S1, esh), 0, "SRC")
+    sim.transmit(Frame(ALL_ES, S1, SHORT_ESH), 0, "SRC")
     return sim
 
 
@@ -287,3 +290,33 @@ def test_one_frame_to_equal_profiles_is_decoded_once(monkeypatch):
     log = sim.run_until(1)
     assert len(calls) == 1
     assert sum(" RIB ES 4901 " in l for l in log) == 3
+
+
+@pytest.mark.parametrize("profiles", [[True, False], [False, True]],
+                         ids=["atn-first", "lenient-first"])
+def test_repeated_payload_is_decoded_once_per_profile_per_simulator(monkeypatch, profiles):
+    # The ESH goes out again at t=4 as an equal but distinct bytes object.
+    # Each receiver must act on the decode made under its own profile, and
+    # the second frame must reuse the first frame's decodes.
+    calls = []
+    decode = pdu.decode
+    monkeypatch.setattr(pdu, "decode", lambda raw, profile: (
+        calls.append((bytes(raw), profile.atn)) or decode(raw, profile)))
+
+    def run():
+        sim = all_es_burst_sim(profiles)
+        sim.run_until(4)
+        sim.transmit(Frame(ALL_ES, S1, bytes(bytearray(SHORT_ESH))), 4, "SRC")
+        return [l.split(maxsplit=2) for l in sim.run_until(5)
+                if " RECV " not in l and " SEND " not in l]
+
+    want = [[f"t={t}", f"node=R{i}",
+             "DISCARD ProtocolError(BadAddressLength)" if atn
+             else f"RIB ES 4901 via 020000000001 expires {t + 20}"]
+            for t in (1, 5) for i, atn in enumerate(profiles)]
+    assert run() == want
+    assert calls == [(SHORT_ESH, atn) for atn in profiles]
+    # The memo belongs to the simulator: a second one decodes afresh.
+    calls.clear()
+    assert run() == want
+    assert calls == [(SHORT_ESH, atn) for atn in profiles]
