@@ -5,8 +5,13 @@ EngineEvent values come out. All I/O belongs to the simulator. Input is two
 steps: `decode_payload` reads a payload under a validation profile, and
 `Node.handle_pdu` acts on what it read, so one decode can serve every
 receiver that shares the profile. `Node.handle_frame` does both.
+`handle_pdu` finds the handler in one lookup, in a table built per role
+and keyed on the type of what was read, the body's type for a `Pdu`.
 Output is one path, `Node._emit`, which encodes and checksums each
 distinct `Pdu` once per node and reuses the octets for every later send.
+A periodic hello also reuses its `SendFrame`: `on_config_timer` keeps one
+per destination, holding time and addresses (or NET), so a hello that has
+not changed builds nothing.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ class Role(enum.Enum):
     INTERMEDIATE_SYSTEM = "is"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     destination: bytes
     source: bytes
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalClnpPdu:
     source: bytes
     destination: bytes
@@ -78,7 +83,7 @@ def decode_payload(payload: bytes, profile: ValidationProfile
     return decode_clnp(payload) if nlpid == NLPID_CLNP else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardingEntry:
     prefix: bytes
     next_is_net: bytes
@@ -99,33 +104,33 @@ class NodeConfig:
 
 # Engine events -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendFrame:
     frame: Frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RibChanged:
     line: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Discarded:
     reason: DiscardReason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddressAssigned:
     net: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RedirectIssued:
     destination: bytes
     snpa: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimerSet:
     at: int
 
@@ -139,6 +144,8 @@ _INSERTED = InsertResult.INSERTED
 
 
 class Node:
+    __slots__ = ("config", "rib", "ct", "acquired_net", "_encoded", "_hellos", "_on_input")
+
     def __init__(self, config: NodeConfig) -> None:
         if config.role is _INTERMEDIATE_SYSTEM and config.local_net is None:
             raise ValueError("an intermediate system needs a local NET")
@@ -151,6 +158,8 @@ class Node:
         self.ct = config.configuration_timer
         self.acquired_net: bytes | None = None
         self._encoded: dict[Pdu, bytes] = {}  # see _emit
+        self._hellos: dict[tuple, SendFrame] = {}  # see _hello
+        self._on_input = _IS_INPUT if config.role is _INTERMEDIATE_SYSTEM else _ES_INPUT
 
     @property
     def is_intermediate(self) -> bool:
@@ -201,19 +210,32 @@ class Node:
     def _ish(self) -> Pdu:
         return Pdu(IshBody(self.config.local_net), holding_time=self.holding_time)
 
+    def _hello(self, destination: bytes, names: bytes | tuple[bytes, ...],
+               make: Callable[[], Pdu]) -> SendFrame:
+        """The hello `make` builds, sent to `destination`, once per value.
+
+        `names` is what the hello says of this node: its NET in an ISH, its
+        addresses in an ESH, () in an RA. With the destination and the
+        holding time it fixes the whole frame this node sends, so the key
+        is a value, nothing is invalidated, and `_emit` runs only on a miss.
+        """
+        key = destination, self.holding_time, names
+        send = self._hellos.get(key)
+        if send is None:
+            send = self._hellos[key] = self._emit(make(), destination)
+        return send
+
     def on_config_timer(self, now: int) -> list[EngineEvent]:
         """Periodic hello: ESH or ISH, or an RA while addressless."""
         self.rib.flush_expired(now)
-        events: list[EngineEvent] = []
-        if self.is_intermediate:
-            events.append(self._emit(self._ish(), ALL_ES))
-        elif self.local_addresses():
-            esh = self._esh()
-            events.append(self._emit(esh, ALL_IS))
+        if self.config.role is _INTERMEDIATE_SYSTEM:
+            events: list[EngineEvent] = [self._hello(ALL_ES, self.config.local_net, self._ish)]
+        elif addresses := self.local_addresses():
+            events = [self._hello(ALL_IS, addresses, self._esh)]
             if not self.rib.has_live_is(now):
-                events.append(self._emit(esh, ALL_ES))
+                events.append(self._hello(ALL_ES, addresses, self._esh))
         else:
-            events.append(self._emit(Pdu(RaBody(), holding_time=0), ALL_IS))
+            events = [self._hello(ALL_IS, (), lambda: Pdu(RaBody(), holding_time=0))]
         events.append(TimerSet(now + self.ct))
         return events
 
@@ -226,28 +248,26 @@ class Node:
     def handle_pdu(self, decoded: Pdu | DiscardReason | MinimalClnpPdu | None,
                    source_snpa: bytes, now: int) -> list[EngineEvent]:
         """Act on `decode_payload`'s result under this node's profile; a frame
-        from this node's own SNPA is ignored."""
+        from this node's own SNPA is ignored. The handler is one lookup in
+        the input table of this node's role (see `_input_table`)."""
         if source_snpa == self.config.snpa or decoded is None:
             return []
-        return _ON_INPUT[type(decoded)](self, decoded, source_snpa, now)
-
-    def _dispatch(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
-        role, handler = _HANDLERS[type(p.body)]
-        if role is not None and self.config.role is not role:
-            return [_ROLE_MISMATCH]
-        return handler(self, p, source_snpa, now)
+        kind = type(decoded)
+        return self._on_input[type(decoded.body) if kind is Pdu else kind](
+            self, decoded, source_snpa, now)
 
     def handle_esh(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         """Record the sender's NSAPs; an IS answers a new ES with one ISH."""
         body: EshBody = p.body
         events: list[EngineEvent] = []
         newly_available = False
+        table = self.rib.es_neighbors
         for addr in body.source_addresses:
             result = self.rib.insert_entry(_ES_NEIGHBOR, addr,
                                            source_snpa, p.holding_time, now)
             newly_available |= result is _INSERTED
-            events.append(RibChanged(self.rib.entries[_ES_NEIGHBOR, addr].dump_line()))
-        if self.is_intermediate and newly_available:
+            events.append(RibChanged(table[addr].dump_line()))
+        if newly_available and self.config.role is _INTERMEDIATE_SYSTEM:
             events.append(self._emit(self._ish(), source_snpa))
         return events
 
@@ -257,7 +277,7 @@ class Node:
         result = self.rib.insert_entry(_IS_NEIGHBOR, body.net,
                                        source_snpa, p.holding_time, now)
         events: list[EngineEvent] = [
-            RibChanged(self.rib.entries[_IS_NEIGHBOR, body.net].dump_line())]
+            RibChanged(self.rib.is_neighbors[body.net].dump_line())]
         if result is _INSERTED and self.local_addresses():
             events.append(self._emit(self._esh(), source_snpa))
         for opt in p.options:
@@ -333,11 +353,27 @@ _HANDLERS: dict[type, tuple[Role | None, Callable]] = {
     AaBody: (_END_SYSTEM, Node.handle_aa),
 }
 
-# What `handle_pdu` does with each kind of `decode_payload` result.
-_ON_INPUT: dict[type, Callable] = {
-    Pdu: Node._dispatch,
-    DiscardReason: lambda node, reason, source_snpa, now: [Discarded(reason)],
-    MinimalClnpPdu: lambda node, clnp, source_snpa, now: (
-        node.handle_clnp_at_is if node.is_intermediate else node.handle_clnp_at_es
-    )(clnp, source_snpa, now),
-}
+
+def _role_mismatch(node: Node, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
+    return [_ROLE_MISMATCH]
+
+
+def _discarded(node: Node, reason: DiscardReason, source_snpa: bytes,
+               now: int) -> list[EngineEvent]:
+    return [Discarded(reason)]
+
+
+def _input_table(role: Role) -> dict[type, Callable]:
+    """What `handle_pdu` does at a node of `role` with each kind of
+    `decode_payload` result: a `Pdu` is looked up by its body's class,
+    anything else by its own class."""
+    return {
+        **{body: handler if accepts in (None, role) else _role_mismatch
+           for body, (accepts, handler) in _HANDLERS.items()},
+        DiscardReason: _discarded,
+        MinimalClnpPdu: (Node.handle_clnp_at_is if role is _INTERMEDIATE_SYSTEM
+                         else Node.handle_clnp_at_es),
+    }
+
+
+_ES_INPUT, _IS_INPUT = _input_table(_END_SYSTEM), _input_table(_INTERMEDIATE_SYSTEM)

@@ -161,7 +161,8 @@ class Simulator:
 
     def _fire_timer(self, sn: _SimNode, token: int, at: int) -> None:
         if not sn.down and token == sn.timer_token:
-            self._apply(sn, sn.node.on_config_timer(at), at)
+            for ev in sn.node.on_config_timer(at):
+                _ON_EVENT[type(ev)](self, sn, ev, at)
 
     def _deliver(self, receivers: list[_SimNode], delivery: tuple[Frame, str], at: int) -> None:
         """Hand the frame to each receiver that is up, in add order.
@@ -187,7 +188,8 @@ class Simulator:
                     decoded = self._decoded.get(key, _UNSEEN)
                     if decoded is _UNSEEN:
                         decoded = self._decoded[key] = decode_payload(frame.payload, profile)
-                self._apply(sn, node.handle_pdu(decoded, frame.source, at), at)
+                for ev in node.handle_pdu(decoded, frame.source, at):
+                    _ON_EVENT[type(ev)](self, sn, ev, at)
 
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:
         if not sn.down:
@@ -201,10 +203,6 @@ class Simulator:
         if sn.down:
             sn.down = False
             self._set_timer(sn, at)
-
-    def _apply(self, sn: _SimNode, events, at: int) -> None:
-        for ev in events:
-            _ON_EVENT[type(ev)](self, sn, ev, at)
 
     def dump_ribs(self, now: int | None = None) -> list[str]:
         now = self.now if now is None else now

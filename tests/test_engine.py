@@ -79,6 +79,27 @@ def test_es_timer_single_group_when_is_known():
     assert [f.destination for _, f in pdus] == [ALL_IS]
 
 
+@pytest.mark.parametrize("holding", [29, 25])
+def test_es_greets_all_es_again_once_its_only_is_expires(holding):
+    # The ISH at t=1 expires at t=30 (on a fire) or t=26 (between fires).
+    node = make_es()
+    node.handle_frame(frame_with(Pdu(IshBody(IS_NET), holding_time=holding),
+                                 IS_SNPA, ES_SNPA), 1)
+    for now in (10, 20):
+        assert [f.destination for _, f in sent_pdus(node.on_config_timer(now))] == [ALL_IS]
+    assert [f.destination for _, f in sent_pdus(node.on_config_timer(30))] == [ALL_IS, ALL_ES]
+    assert node.rib.num_of_entry == 0
+
+
+def test_unchanged_hello_is_reused_and_a_new_holding_time_is_not():
+    node = make_es()
+    first = node.on_config_timer(0)[:2]
+    assert all(a is b for a, b in zip(first, node.on_config_timer(10)))
+    node.ct = 7
+    again = node.on_config_timer(20)[:2]
+    assert [decode(ev.frame.payload).holding_time for ev in again] == [14, 14]
+
+
 def test_addressless_es_emits_ra():
     node = make_es(local_nsaps=())
     pdus = sent_pdus(node.on_config_timer(0))

@@ -87,6 +87,14 @@ def test_next_hop_most_recent_is_wins():
     assert rib.next_hop(D, 10).snpa == S2
 
 
+def test_refreshed_is_keeps_its_place():
+    rib = Rib()
+    rib.insert_entry(EntryKind.IS_NEIGHBOR, A, S1, 600, 0)
+    rib.insert_entry(EntryKind.IS_NEIGHBOR, B, S2, 600, 0)
+    rib.insert_entry(EntryKind.IS_NEIGHBOR, A, S1, 600, 10)
+    assert rib.next_hop(D, 10).snpa == S2
+
+
 def test_dump_ordering_and_format():
     rib = Rib()
     rib.insert_entry(EntryKind.IS_NEIGHBOR, B, S2, 100, 0)
@@ -103,10 +111,12 @@ def test_dump_ordering_and_format():
 
 
 class MapModel:
-    """Naive associative-array oracle for the neighbor table."""
+    """Naive associative-array oracle: one dict of entries keyed on
+    (kind, address), one of redirects keyed on destination."""
 
     def __init__(self):
         self.entries = {}
+        self.redirects = {}
 
     def insert(self, kind, address, snpa, holding, now):
         key = (kind, address)
@@ -119,11 +129,47 @@ class MapModel:
                 if a == address and e > now]
         return live[0] if live else None
 
+    def record_redirect(self, destination, snpa, holding, now):
+        existed = destination in self.redirects
+        self.redirects[destination] = (snpa, now + holding)
+        return InsertResult.REPLACED if existed else InsertResult.INSERTED
+
+    def refresh_redirect(self, destination, snpa, now, holding):
+        if destination not in self.redirects or self.redirects[destination][0] != snpa:
+            return False
+        self.redirects[destination] = (snpa, now + holding)
+        return True
+
+    def next_hop(self, destination, now):
+        snpa, expiry = self.redirects.get(destination, (None, 0))
+        if expiry > now:
+            return HopKind.DIRECT, snpa
+        snpa, expiry = self.entries.get((EntryKind.ES_NEIGHBOR, destination), (None, 0))
+        if expiry > now:
+            return HopKind.DIRECT, snpa
+        live_is = [s for (k, _), (s, e) in self.entries.items()
+                   if k is EntryKind.IS_NEIGHBOR and e > now]
+        return (HopKind.VIA_IS, live_is[-1]) if live_is else (HopKind.UNKNOWN, None)
+
+    def has_live_is(self, now):
+        return any(k is EntryKind.IS_NEIGHBOR and e > now
+                   for (k, _), (_, e) in self.entries.items())
+
+    def dump(self, now):
+        lines = [f"{k} {a.hex()} via {s.hex()} expires {e}"
+                 for kind in EntryKind
+                 for (k, a), (s, e) in self.entries.items() if k is kind and e > now]
+        return lines + [f"RD {d.hex()} -> {s.hex()} expires {e}"
+                        for d, (s, e) in self.redirects.items() if e > now]
+
     def flush(self, now):
         dead = [k for k, (_, e) in self.entries.items() if e <= now]
         for k in dead:
             del self.entries[k]
-        return len(dead)
+        gone = [d for d, (_, e) in self.redirects.items() if e <= now]
+        for d in gone:
+            del self.redirects[d]
+        return len(dead) + len(gone)
 
 
 def test_model_equivalence_random_ops():
@@ -132,25 +178,40 @@ def test_model_equivalence_random_ops():
     addrs = [bytes([i]) * 8 for i in range(12)]
     snpas = [bytes([0, 0, 0, 0, 0, i]) for i in range(4)]
     now = 0
-    for _ in range(1000):
+    for _ in range(3000):
         now += rng.randint(0, 3)
-        op = rng.randrange(3)
+        op = rng.randrange(8)
+        # Holding times are drawn afresh, so about half of all refreshes
+        # move an expiry earlier.
+        holding = rng.randint(1, 30)
+        a, s = rng.choice(addrs), rng.choice(snpas)
         if op == 0:
             kind = rng.choice(list(EntryKind))
-            a, s = rng.choice(addrs), rng.choice(snpas)
-            holding = rng.randint(1, 30)
             assert (rib.insert_entry(kind, a, s, holding, now)
                     == model.insert(kind, a, s, holding, now))
         elif op == 1:
-            a = rng.choice(addrs)
             got = rib.lookup(a, now)
             want = model.lookup(a, now)
             assert (got is None) == (want is None)
             if got is not None:
                 assert (got.snpa, got.expiry) == want
-        else:
+        elif op == 2:
             assert rib.flush_expired(now) == model.flush(now)
-        assert rib.num_of_entry == len(rib.entries) == len(model.entries)
+        elif op == 3:
+            assert (rib.record_redirect(a, s, None, holding, now)
+                    == model.record_redirect(a, s, holding, now))
+        elif op == 4:
+            assert (rib.refresh_redirect(a, s, now, holding)
+                    == model.refresh_redirect(a, s, now, holding))
+        elif op == 5:
+            hop = rib.next_hop(a, now)
+            assert (hop.kind, hop.snpa) == model.next_hop(a, now)
+        elif op == 6:
+            assert rib.has_live_is(now) == model.has_live_is(now)
+        else:
+            assert rib.dump(now) == model.dump(now)
+        assert (rib.num_of_entry == len(rib.entries)
+                == len(rib.es_neighbors) + len(rib.is_neighbors) == len(model.entries))
 
 
 def test_lookup_of_address_held_under_both_kinds_returns_first_inserted():
