@@ -4,9 +4,11 @@ An engine is a pure state machine: timer fires and received frames go in,
 EngineEvent values come out. All I/O belongs to the simulator. Input is two
 steps: `decode_payload` reads a payload under a validation profile, and
 `Node.handle_pdu` acts on what it read, so one decode can serve every
-receiver that shares the profile. `Node.handle_frame` does both.
-`handle_pdu` finds the handler in one lookup, in a table built per role
-and keyed on the type of what was read, the body's type for a `Pdu`.
+receiver that shares the profile. `Node.handle_frame` does both. A stub
+CLNP's addresses are read by `pdu.read_parts`, as ES-IS ones are.
+`handle_pdu` finds the handler in one lookup, in its role's table
+(`_ES_INPUT`, `_IS_INPUT`), keyed on the body's type for a `Pdu`, else on
+the type of what was read.
 Output is one path, `Node._emit`, which encodes and checksums each
 distinct `Pdu` once per node and reuses the octets for every later send.
 A periodic hello also reuses its `SendFrame`: `on_config_timer` keeps one
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from . import pdu as pdu_mod
 from .checksum import generate_checksum
 from .pdu import (AaBody, DiscardReason, EshBody, IshBody, LENIENT, NLPID_CLNP,
-                  NLPID_ESIS, OptionCode, Pdu, ProtocolDetail, RaBody, RdBody,
+                  NLPID_ESIS, OptionCode, Part, Pdu, ProtocolDetail, RaBody, RdBody,
                   ValidationProfile, protocol_error)
 from .rib import EntryKind, InsertResult, Rib
 
@@ -57,21 +59,16 @@ def encode_clnp(source: bytes, destination: bytes) -> bytes:
         + bytes([len(destination)]) + destination
 
 
+_CLNP_PARTS = (("source", Part.NSAP), ("destination", Part.NSAP))
+
+
 def decode_clnp(payload: bytes) -> MinimalClnpPdu | None:
-    if len(payload) < 2 or payload[0] != NLPID_CLNP:
+    """The stub in `payload`, or None for a wrong NLPID, a field past the end
+    or an address outside 1..20 octets. ATN rules are for ES-IS decode only."""
+    if not payload or payload[0] != NLPID_CLNP:
         return None
-    off = 1
-    slen = payload[off]
-    off += 1
-    if off + slen + 1 > len(payload):
-        return None
-    src = payload[off:off + slen]
-    off += slen
-    dlen = payload[off]
-    off += 1
-    if off + dlen > len(payload):
-        return None
-    return MinimalClnpPdu(src, payload[off:off + dlen])
+    read = pdu_mod.read_parts(payload, 1, len(payload), _CLNP_PARTS, LENIENT)
+    return None if type(read) is ProtocolDetail else MinimalClnpPdu(*read[0])
 
 
 def decode_payload(payload: bytes, profile: ValidationProfile
@@ -138,7 +135,7 @@ class TimerSet:
 EngineEvent = SendFrame | RibChanged | Discarded | AddressAssigned | RedirectIssued | TimerSet
 
 _ROLE_MISMATCH = Discarded(protocol_error(ProtocolDetail.ROLE_MISMATCH))
-_END_SYSTEM, _INTERMEDIATE_SYSTEM = Role
+_INTERMEDIATE_SYSTEM = Role.INTERMEDIATE_SYSTEM
 _ES_NEIGHBOR, _IS_NEIGHBOR = EntryKind
 _INSERTED = InsertResult.INSERTED
 
@@ -162,10 +159,6 @@ class Node:
         self._on_input = _IS_INPUT if config.role is _INTERMEDIATE_SYSTEM else _ES_INPUT
 
     @property
-    def is_intermediate(self) -> bool:
-        return self.config.role is _INTERMEDIATE_SYSTEM
-
-    @property
     def holding_time(self) -> int:
         return min(self.config.holding_multiplier * self.ct, 0xFFFF)
 
@@ -178,7 +171,7 @@ class Node:
 
     def listens_to(self) -> tuple[bytes, ...]:
         """The destination SNPAs this node receives: broadcast, its role's group, its own."""
-        group = ALL_IS if self.is_intermediate else ALL_ES
+        group = ALL_IS if self.config.role is _INTERMEDIATE_SYSTEM else ALL_ES
         # An SNPA equal to a group address joins no group: membership follows role.
         unicast = () if self.config.snpa in _GROUP_ADDRESSES else (self.config.snpa,)
         return (BROADCAST, group, *unicast)
@@ -249,7 +242,7 @@ class Node:
                    source_snpa: bytes, now: int) -> list[EngineEvent]:
         """Act on `decode_payload`'s result under this node's profile; a frame
         from this node's own SNPA is ignored. The handler is one lookup in
-        the input table of this node's role (see `_input_table`)."""
+        the input table of this node's role, `_ES_INPUT` or `_IS_INPUT`."""
         if source_snpa == self.config.snpa or decoded is None:
             return []
         kind = type(decoded)
@@ -300,8 +293,7 @@ class Node:
         body: RdBody = p.body
         self.rib.record_redirect(body.destination, body.better_snpa,
                                  body.redirect_net, p.holding_time, now)
-        entry = self.rib.lookup_redirect(body.destination, now)
-        return [RibChanged(entry.dump_line())]
+        return [RibChanged(self.rib.redirects[body.destination].dump_line())]
 
     def handle_clnp_at_is(self, clnp: MinimalClnpPdu, source_snpa: bytes,
                           now: int) -> list[EngineEvent]:
@@ -343,17 +335,6 @@ class Node:
         return prefix + requester_snpa + b"\x00"
 
 
-# Body class -> (the one role that accepts it, or None for any, handler).
-# Any other role discards it with ROLE_MISMATCH.
-_HANDLERS: dict[type, tuple[Role | None, Callable]] = {
-    EshBody: (None, Node.handle_esh),
-    IshBody: (_END_SYSTEM, Node.handle_ish),
-    RdBody: (_END_SYSTEM, Node.handle_rd),
-    RaBody: (_INTERMEDIATE_SYSTEM, Node.handle_ra),
-    AaBody: (_END_SYSTEM, Node.handle_aa),
-}
-
-
 def _role_mismatch(node: Node, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
     return [_ROLE_MISMATCH]
 
@@ -363,17 +344,24 @@ def _discarded(node: Node, reason: DiscardReason, source_snpa: bytes,
     return [Discarded(reason)]
 
 
-def _input_table(role: Role) -> dict[type, Callable]:
-    """What `handle_pdu` does at a node of `role` with each kind of
-    `decode_payload` result: a `Pdu` is looked up by its body's class,
-    anything else by its own class."""
-    return {
-        **{body: handler if accepts in (None, role) else _role_mismatch
-           for body, (accepts, handler) in _HANDLERS.items()},
-        DiscardReason: _discarded,
-        MinimalClnpPdu: (Node.handle_clnp_at_is if role is _INTERMEDIATE_SYSTEM
-                         else Node.handle_clnp_at_es),
-    }
-
-
-_ES_INPUT, _IS_INPUT = _input_table(_END_SYSTEM), _input_table(_INTERMEDIATE_SYSTEM)
+# What `handle_pdu` does at a node of each role with each kind of
+# `decode_payload` result: a `Pdu` is looked up by its body's class, anything
+# else by its own class. A body the role never accepts is a ROLE_MISMATCH.
+_ES_INPUT: dict[type, Callable] = {
+    EshBody: Node.handle_esh,
+    IshBody: Node.handle_ish,
+    RdBody: Node.handle_rd,
+    RaBody: _role_mismatch,
+    AaBody: Node.handle_aa,
+    DiscardReason: _discarded,
+    MinimalClnpPdu: Node.handle_clnp_at_es,
+}
+_IS_INPUT: dict[type, Callable] = {
+    EshBody: Node.handle_esh,
+    IshBody: _role_mismatch,
+    RdBody: _role_mismatch,
+    RaBody: Node.handle_ra,
+    AaBody: _role_mismatch,
+    DiscardReason: _discarded,
+    MinimalClnpPdu: Node.handle_clnp_at_is,
+}

@@ -203,7 +203,7 @@ PDU_SPECS: dict[type, PduSpec] = {
 
 # The codec's hot paths compare against these names: reading an Enum member
 # off its class costs about 0.1 us on Python 3.11, several times per address.
-_NSAP_LIST, _NSAP, _SNPA, _NSAP_OR_EMPTY = Part
+_NSAP_LIST, _, _SNPA, _NSAP_OR_EMPTY = Part
 _INVALID = ChecksumVerdict.INVALID
 
 _BODY_CLASS: dict[PduType, type] = {spec.pdu_type: cls for cls, spec in PDU_SPECS.items()}
@@ -237,6 +237,38 @@ def address_fault(part: Part, addr: bytes,
     if part is _NSAP_OR_EMPTY and not addr:
         return None
     return profile.check(addr)
+
+
+def read_parts(buf: bytes, off: int, end: int, parts: tuple[tuple[str, Part], ...],
+               profile: ValidationProfile) -> tuple[list, int] | ProtocolDetail:
+    """The {length, value} fields `parts` describes, read from `buf[off:end]`
+    (an NSAP_LIST as a tuple, an empty NSAP_OR_EMPTY as None), with the
+    offset past the last; or the first rule broken, under `profile`."""
+    fields: list[bytes | tuple[bytes, ...] | None] = []
+    for _, part in parts:
+        count = 1
+        if part is _NSAP_LIST:
+            if off >= end:
+                return ProtocolDetail.TRUNCATED_PDU
+            count = buf[off]
+            off += 1
+            if count == 0:
+                return ProtocolDetail.ZERO_ADDRESS_COUNT
+        addrs = []
+        for _ in range(count):
+            if off >= end:
+                return ProtocolDetail.TRUNCATED_PDU
+            alen = buf[off]
+            off += 1 + alen
+            if off > end:
+                return ProtocolDetail.TRUNCATED_PDU
+            addr = buf[off - alen:off]
+            fault = address_fault(part, addr, profile)
+            if fault is not None:
+                return fault
+            addrs.append(addr)
+        fields.append(tuple(addrs) if part is _NSAP_LIST else addrs[0] or None)
+    return fields, off
 
 
 def _option_fault(code: int, value: bytes, pdu_type: PduType,
@@ -345,32 +377,10 @@ def decode(raw: bytes, profile: ValidationProfile = LENIENT) -> Pdu | DiscardRea
     checksum = (header[7], header[8])
 
     end = len(header)
-    off = FIXED_LEN
-    fields: list[bytes | tuple[bytes, ...] | None] = []
-    for _, part in parts:
-        count = 1
-        if part is _NSAP_LIST:
-            if off >= end:
-                return protocol_error(ProtocolDetail.TRUNCATED_PDU)
-            count = header[off]
-            off += 1
-            if count == 0:
-                return protocol_error(ProtocolDetail.ZERO_ADDRESS_COUNT)
-        addrs = []
-        for _ in range(count):
-            if off >= end:
-                return protocol_error(ProtocolDetail.TRUNCATED_PDU)
-            alen = header[off]
-            off += 1 + alen
-            if off > end:
-                return protocol_error(ProtocolDetail.TRUNCATED_PDU)
-            addr = header[off - alen:off]
-            fault = address_fault(part, addr, profile)
-            if fault is not None:
-                return protocol_error(fault)
-            addrs.append(addr)
-        # An empty NSAP_OR_EMPTY field reads as None.
-        fields.append(tuple(addrs) if part is _NSAP_LIST else addrs[0] or None)
+    read = read_parts(header, FIXED_LEN, end, parts, profile)
+    if type(read) is ProtocolDetail:
+        return protocol_error(read)
+    fields, off = read
 
     opts: list[Option] = []
     seen: set[int] = set()

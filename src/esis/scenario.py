@@ -167,7 +167,7 @@ def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
         raise ScenarioError(lineno, f"an {role.value} node takes no {unread}=")
     snpas.add(snpa)
     # Nodes with equal settings share one frozen profile, so the simulator's
-    # per-receiver profile check is mostly an identity test.
+    # per-receiver identity test on the profile holds across them.
     settings = values.get("profile", False), values.get("afi", 0x47)
     profile = profiles.get(settings)
     if profile is None:

@@ -167,9 +167,10 @@ class Simulator:
     def _deliver(self, receivers: list[_SimNode], delivery: tuple[Frame, str], at: int) -> None:
         """Hand the frame to each receiver that is up, in add order.
 
-        When a receiver's profile differs from the last one's, the decode is
+        When a receiver's profile is not the last one's object, the decode is
         read from `_decoded`, keyed on the payload and the profile by value,
-        and made only for a pair not seen before. Decode results are frozen,
+        and made only for a pair not seen before, so receivers with equal but
+        distinct profiles still share one decode. Decode results are frozen,
         so receivers and later frames share them. The dict grows with the
         distinct payloads sent and the profiles that read them.
         """
@@ -179,10 +180,9 @@ class Simulator:
             if not sn.down:
                 self.log.append(f"t={at} node={sn.name}{recv}")
                 node = sn.node
-                # Scenario nodes with equal settings share one profile object;
-                # a library caller's equal copies still compare equal by value.
-                if node.config.validation_profile is not profile and (
-                        profile is None or node.config.validation_profile != profile):
+                # Scenario nodes with equal settings share one profile object,
+                # so this test is one identity check per receiver.
+                if node.config.validation_profile is not profile:
                     profile = node.config.validation_profile
                     key = frame.payload, profile
                     decoded = self._decoded.get(key, _UNSEEN)

@@ -13,6 +13,7 @@ from esis.scenario import ScenarioError, parse_scenario
 ROOT = Path(__file__).resolve().parent.parent
 NSAP_HEX = "49" + "00" * 19
 LONG_NSAP_HEX = "49" * 21  # one octet past the NSAP limit
+ES1, ES2 = "49" + "01" * 19, "49" + "02" * 19
 
 
 def run_cli(capsys, *argv):
@@ -264,6 +265,37 @@ def test_run_corrupt_index_past_payload_is_exit_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: corrupt rule for frame 1: octet index 99 ")
     assert "13-octet payload" in err
+
+
+def test_run_survives_an_rd_with_holding_time_zero(capsys, tmp_path):
+    # ES2 boots after the ISH, so ES1 sends its CLNP via IS1, whose RD is
+    # frame 10. Its holding time 00ff becomes 0000 and the checksum holds.
+    scn = tmp_path / "rd0.scn"
+    scn.write_text(
+        "node IS1 role=is snpa=0200000000ff net=49ff" + "01" * 18 + " ct=85 multiplier=3\n"
+        f"node ES1 role=es snpa=020000000001 nsap={ES1}\n"
+        f"node ES2 role=es snpa=020000000002 nsap={ES2} start=2\n"
+        f"at 6 sendclnp ES1 {ES1} {ES2}\ncorrupt 10 6 00\nuntil 12\n")
+    code, out, err = run_cli(capsys, "run", str(scn))
+    assert code == 0 and err == ""
+    assert f"t=8 node=ES1 RIB RD {ES2} -> 020000000002 expires 8\n" in out
+
+
+def test_run_ignores_a_clnp_stub_with_a_21_octet_destination(capsys, tmp_path):
+    # Frame 5 is ES1's CLNP. Its source length 20 becomes 1, so IS1 reads
+    # ES1's second NSAP octet, 0x15, as a 21-octet destination that matches
+    # the forward prefix; no RD can carry it, so none is sent.
+    src = "4915" + "49" * 18
+    scn = tmp_path / "long.scn"
+    scn.write_text(
+        "node IS1 role=is snpa=0200000000ff net=49ff" + "01" * 18 + "\n"
+        f"node ES1 role=es snpa=020000000001 nsap={src} start=2\n"
+        "forward IS1 prefix=49 net= snpa=020000000005\n"
+        f"at 6 sendclnp ES1 {src} {ES2}\ncorrupt 5 1 01\nuntil 12\n")
+    code, out, err = run_cli(capsys, "run", str(scn))
+    assert code == 0 and err == ""
+    assert "t=7 node=IS1 RECV src=020000000001 payload=8101" in out
+    assert " REDIRECT " not in out and "t=7 node=IS1 SEND" not in out
 
 
 @pytest.mark.parametrize("command", ["decode", "run"])

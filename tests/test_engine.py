@@ -281,6 +281,32 @@ def test_clnp_decode_rejects_a_truncated_destination():
     assert decode_clnp(b"\x81\x01\x49\x05\x49") is None
 
 
+@pytest.mark.parametrize("source, destination", [
+    (b"", ES2_NSAP), (ES_NSAP, b""), (b"\x49" * 21, ES2_NSAP), (ES_NSAP, b"\x49" * 21)],
+    ids=["empty-source", "empty-destination", "long-source", "long-destination"])
+def test_clnp_with_an_address_outside_1_to_20_octets_is_ignored(source, destination):
+    # Stub addresses follow the NSAP rule that RD encoding needs: a long
+    # destination matching the IS's prefix must not build an RD.
+    payload = encode_clnp(source, destination)
+    assert decode_clnp(payload) is None
+    at_is = make_is(forwarding_table=(ForwardingEntry(b"\x49", IS_NET, ES2_SNPA),))
+    at_is.handle_frame(frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=50), ES2_SNPA), 0)
+    at_es = make_es()
+    at_es.rib.record_redirect(source, ES2_SNPA, None, 60, 0)
+    for node in (at_is, at_es):
+        assert node.handle_frame(Frame(node.config.snpa, ES2_SNPA, payload), 5) == []
+
+
+def test_rd_with_holding_time_zero_is_recorded_and_logged():
+    # Fletcher mod 255 cannot tell a holding-time octet 00 from ff, so a
+    # damaged RD can arrive with holding time 0 and expire as it lands.
+    node = make_es()
+    rd = Pdu(RdBody(ES2_NSAP, ES2_SNPA, None), holding_time=0)
+    assert node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 8) == [
+        RibChanged(f"RD {ES2_NSAP.hex()} -> {ES2_SNPA.hex()} expires 8")]
+    assert node.rib.lookup_redirect(ES2_NSAP, 8) is None
+
+
 def test_clnp_frame_goes_to_redirect_then_es_then_latest_is_then_broadcast():
     node = make_es()
     is1_snpa, is2_snpa = bytes.fromhex("0200000000a1"), bytes.fromhex("0200000000a2")

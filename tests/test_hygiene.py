@@ -40,15 +40,18 @@ def test_no_unused_imports(path):
 
 
 def unused_privates(source: str) -> list[str]:
-    """Module-level private defs, classes and single-name assignments that
-    nothing in the module reads. Tuple unpacks are not checked."""
+    """Module-level private defs, classes and assignments, to a name or
+    unpacked into a tuple of names, that nothing in the module reads. A bare
+    `_` is a placeholder and is not checked."""
     tree = ast.parse(source)
     defined: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            names = [t.id for target in node.targets
+                     for t in (target.elts if isinstance(target, ast.Tuple) else [target])
+                     if isinstance(t, ast.Name) and t.id != "_"]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names = [node.target.id]
         else:
@@ -63,7 +66,7 @@ def unused_privates(source: str) -> list[str]:
 def test_checker_finds_unused_private():
     assert unused_privates("_A = 1\n_B: int = 2\ndef _f(): return _B\nclass _C: pass\n"
                            "_D, _E = 1, 2\n__all__ = []\nPUBLIC = 3\n_G = 4\nprint(_G)\n") == [
-        "_A (line 1)", "_f (line 3)", "_C (line 4)"]
+        "_A (line 1)", "_f (line 3)", "_C (line 4)", "_D (line 5)", "_E (line 5)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -102,8 +105,8 @@ def test_checker_finds_unslotted_frozen_dataclass():
 def test_codec_values_are_slotted():
     # A frozen value without slots carries a __dict__: one per decoded PDU
     # or stub CLNP kept in the simulator's decode memo, one per event.
-    for name in ("pdu.py", "engine.py", "rib.py"):
-        assert unslotted_frozen_dataclasses((SRC / name).read_text(encoding="utf-8")) == [], name
+    for path in SOURCES:
+        assert unslotted_frozen_dataclasses(path.read_text(encoding="utf-8")) == [], path.name
 
 
 FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}

@@ -4,6 +4,7 @@ from esis import pdu
 from esis.checksum import generate_checksum
 from esis.engine import ALL_ES, ALL_IS, BROADCAST, Frame, NodeConfig, Role
 from esis.pdu import EshBody, Pdu, ValidationProfile, encode
+from esis.scenario import build_simulator, parse_scenario
 from esis.sim import FaultPlan, Simulator, UnknownNode
 
 NSAP1 = b"\x49\x01" + bytes(18)
@@ -320,3 +321,34 @@ def test_repeated_payload_is_decoded_once_per_profile_per_simulator(monkeypatch,
     calls.clear()
     assert run() == want
     assert calls == [(SHORT_ESH, atn) for atn in profiles]
+
+
+# The ATN profile in a run: an atn IS and an atn ES with 20-octet AFI-47
+# addresses, and two lenient ES, one with an AFI-49 NSAP and one with a
+# 2-octet NSAP. L49 boots before the first ISH, so its all-ES burst reaches
+# A (atn) and L2 (lenient) in one delivery; A and L2 boot after it.
+ATN_LAN = """\
+node L49 role=es snpa=020000000001 nsap=4901010101010101010101010101010101010101
+node A role=es snpa=020000000002 nsap=4702020202020202020202020202020202020202 profile=atn start=5
+node L2 role=es snpa=020000000003 nsap=4703 start=5
+node IS1 role=is snpa=0200000000ff net=47ffffffffffffffffffffffffffffffffffffff profile=atn start=3
+until 5
+"""
+
+
+def test_atn_receivers_discard_what_lenient_ones_learn():
+    sim = build_simulator(parse_scenario(ATN_LAN))
+    log = sim.run_until(5)
+    is_net = "47" + "ff" * 19
+    a_nsap = "47" + "02" * 19
+    assert [l for l in log if not any(w in l for w in (" SEND ", " RECV ", " TIMER "))] == [
+        "t=1 node=IS1 DISCARD ProtocolError(BadAddressValue)",
+        "t=1 node=A DISCARD ProtocolError(BadAddressValue)",
+        f"t=1 node=L2 RIB ES 49{'01' * 19} via 020000000001 expires 61",
+        f"t=4 node=L49 RIB IS {is_net} via 0200000000ff expires 64",
+        f"t=4 node=A RIB IS {is_net} via 0200000000ff expires 64",
+        f"t=4 node=L2 RIB IS {is_net} via 0200000000ff expires 64",
+        "t=5 node=IS1 DISCARD ProtocolError(BadAddressValue)",
+        f"t=5 node=IS1 RIB ES {a_nsap} via 020000000002 expires 65",
+        "t=5 node=IS1 DISCARD ProtocolError(BadAddressLength)"]
+    assert sim.node("IS1").rib.dump(5) == [f"ES {a_nsap} via 020000000002 expires 65"]
