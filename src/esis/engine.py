@@ -26,8 +26,8 @@ from . import pdu as pdu_mod
 from .checksum import generate_checksum
 from .pdu import (AaBody, DiscardReason, EshBody, IshBody, LENIENT, NLPID_CLNP,
                   NLPID_ESIS, OptionCode, Part, Pdu, ProtocolDetail, RaBody, RdBody,
-                  ValidationProfile, protocol_error)
-from .rib import EntryKind, InsertResult, Rib
+                  SNPA_LEN, ValidationProfile, protocol_error)
+from .rib import EntryKind, EntryPool, InsertResult, Rib
 
 ALL_ES = bytes.fromhex("09002b000004")
 ALL_IS = bytes.fromhex("09002b000005")
@@ -143,7 +143,7 @@ _INSERTED = InsertResult.INSERTED
 class Node:
     __slots__ = ("config", "rib", "ct", "acquired_net", "_encoded", "_hellos", "_on_input")
 
-    def __init__(self, config: NodeConfig) -> None:
+    def __init__(self, config: NodeConfig, pool: EntryPool | None = None) -> None:
         if config.role is _INTERMEDIATE_SYSTEM and config.local_net is None:
             raise ValueError("an intermediate system needs a local NET")
         if config.holding_multiplier < 2:
@@ -151,7 +151,7 @@ class Node:
         if config.configuration_timer <= 0:
             raise ValueError("configuration timer must be > 0")
         self.config = config
-        self.rib = Rib()
+        self.rib = Rib(pool)
         self.ct = config.configuration_timer
         self.acquired_net: bytes | None = None
         self._encoded: dict[Pdu, bytes] = {}  # see _emit
@@ -235,14 +235,18 @@ class Node:
     # Input path -------------------------------------------------------
 
     def handle_frame(self, frame: Frame, now: int) -> list[EngineEvent]:
+        """`handle_pdu` of the decoded payload; ignored unless from a 6-octet SNPA."""
+        if len(frame.source) != SNPA_LEN:
+            return []
         return self.handle_pdu(decode_payload(frame.payload, self.config.validation_profile),
                                frame.source, now)
 
     def handle_pdu(self, decoded: Pdu | DiscardReason | MinimalClnpPdu | None,
                    source_snpa: bytes, now: int) -> list[EngineEvent]:
-        """Act on `decode_payload`'s result under this node's profile; a frame
-        from this node's own SNPA is ignored. The handler is one lookup in
-        the input table of this node's role, `_ES_INPUT` or `_IS_INPUT`."""
+        """Act on `decode_payload`'s result under this node's profile for a
+        frame from `source_snpa`, which must be 6 octets; a frame from this
+        node's own SNPA is ignored. The handler is one lookup in the input
+        table of this node's role, `_ES_INPUT` or `_IS_INPUT`."""
         if source_snpa == self.config.snpa or decoded is None:
             return []
         kind = type(decoded)
@@ -312,12 +316,9 @@ class Node:
                 SendFrame(Frame(forward_to, self.config.snpa, payload))]
 
     def _longest_prefix(self, destination: bytes) -> ForwardingEntry | None:
-        best: ForwardingEntry | None = None
-        for fe in self.config.forwarding_table:
-            if destination.startswith(fe.prefix):
-                if best is None or len(fe.prefix) > len(best.prefix):
-                    best = fe
-        return best
+        return max((fe for fe in self.config.forwarding_table
+                    if destination.startswith(fe.prefix)),
+                   key=lambda fe: len(fe.prefix), default=None)
 
     def handle_clnp_at_es(self, clnp: MinimalClnpPdu, source_snpa: bytes,
                           now: int) -> list[EngineEvent]:

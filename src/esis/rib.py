@@ -5,6 +5,10 @@ Neighbor entries live in one table per `EntryKind`, `es_neighbors` and
 keyed on destination. A dict keeps insertion order and a replaced key
 keeps its place, so each dump section and "most recently first-inserted
 live IS" read straight off a table.
+A neighbor entry is frozen, renders its dump line once when built, and is
+interned on (kind, address, SNPA, expiry) in an `EntryPool`: a simulator
+owns one for every node's RIB, so the receivers of a hello share one entry,
+a RIB built alone makes its own, and a pool holds one virtual time's entries.
 Entries carry an absolute expiry time; expiry <= now is expired. The RIB
 also keeps a lower bound on the earliest expiry it holds, lowered by every
 insert, redirect and refresh, so `flush_expired` before that time returns
@@ -20,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 
@@ -54,19 +58,30 @@ _IS = EntryKind.IS_NEIGHBOR
 _INSERTED, _REPLACED = InsertResult
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RibEntry:
     kind: EntryKind
     address: bytes
     snpa: bytes
     expiry: int
-    # True when the other kind's entry for this address was already in the
-    # RIB as this one was inserted: when both are live, that one came first.
-    second: bool = False
+    line: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "line", f"{self.kind} {self.address.hex()} "
+                                         f"via {self.snpa.hex()} expires {self.expiry}")
 
     def dump_line(self) -> str:
-        return (f"{self.kind} {self.address.hex()} "
-                f"via {self.snpa.hex()} expires {self.expiry}")
+        return self.line
+
+
+class EntryPool(dict):
+    """Shared `RibEntry` values keyed on (kind, address, SNPA, expiry), all
+    inserted at virtual time `now`; see `Rib.insert_entry`."""
+    now: int | None = None
+
+    def __missing__(self, key: tuple) -> RibEntry:
+        e = self[key] = RibEntry(*key)
+        return e
 
 
 @dataclass(slots=True)
@@ -101,12 +116,15 @@ class _Entries:
 class Rib:
     """Neighbor entries by kind and address, redirects by destination, each
     in insertion order, with expiry."""
-    __slots__ = ("es_neighbors", "is_neighbors", "redirects", "_next_expiry")
+    __slots__ = ("es_neighbors", "is_neighbors", "redirects", "_next_expiry", "_pool", "_second")
 
-    def __init__(self) -> None:
+    def __init__(self, pool: EntryPool | None = None) -> None:
         self.es_neighbors: dict[bytes, RibEntry] = {}
         self.is_neighbors: dict[bytes, RibEntry] = {}
         self.redirects: dict[bytes, RedirectEntry] = {}
+        self._pool = EntryPool() if pool is None else pool
+        # Of an address held under both kinds, the kind inserted second.
+        self._second: dict[bytes, EntryKind] = {}
         # No entry or redirect expires before this; see flush_expired.
         self._next_expiry: float = math.inf
 
@@ -130,15 +148,16 @@ class Rib:
             table, other = self.is_neighbors, self.es_neighbors
         else:
             table, other = self.es_neighbors, self.is_neighbors
-        e = table.get(address)
-        if e is not None:
-            e.snpa = snpa
-            e.expiry = expiry
+        pool = self._pool
+        if now != pool.now:  # every insert at virtual time t has now = t
+            pool.clear()
+            pool.now = now
+        replaced = address in table
+        table[address] = pool[kind, address, snpa, expiry]
+        if replaced:
             return _REPLACED
-        twin = other.get(address)
-        if twin is not None:
-            twin.second = False
-        table[address] = RibEntry(kind, address, snpa, expiry, twin is not None)
+        if address in other:
+            self._second[address] = kind
         return _INSERTED
 
     def lookup(self, address: bytes, now: int) -> RibEntry | None:
@@ -149,7 +168,7 @@ class Rib:
             return is_ if is_ is not None and is_.expiry > now else None
         if is_ is None or is_.expiry <= now:
             return es
-        return is_ if es.second else es
+        return es if self._second[address] is _IS else is_
 
     def lookup_redirect(self, destination: bytes, now: int) -> RedirectEntry | None:
         r = self.redirects.get(destination)
@@ -175,6 +194,8 @@ class Rib:
             removed += len(dead)
             bound = min(bound, min((e.expiry for e in table.values()), default=bound))
         self._next_expiry = bound
+        if self._second:  # bound it by the ES table; a later insert rewrites a stale kind
+            self._second = {a: k for a, k in self._second.items() if a in self.es_neighbors}
         return removed
 
     def record_redirect(self, destination: bytes, better_snpa: bytes,
@@ -227,5 +248,5 @@ class Rib:
 
     def dump(self, now: int) -> list[str]:
         """Live entries, sections ES / IS / RD, each in insertion order."""
-        return ([e.dump_line() for e in self.entries if e.expiry > now]
+        return ([e.line for e in self.entries if e.expiry > now]
                 + [r.dump_line() for r in self.redirects.values() if r.expiry > now])

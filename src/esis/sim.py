@@ -9,8 +9,10 @@ its receivers in add order, and a frame is one event that delivers to them
 in that order. Each receiver acts through `Node.handle_pdu` on the decode
 of the payload under its validation profile, and a simulator decodes each
 distinct (payload, profile) pair once, so a hello repeated every period is
-decoded once. Time never runs backwards: scheduling before `now` is an
-error. The log is a pure function of the scenario and seed.
+decoded once. The simulator owns the `EntryPool` of every node's RIB, so
+the receivers of a hello share one frozen RIB entry, rendered once, and the
+pool holds one time step's entries. Time never runs backwards: scheduling
+before `now` is an error. The log is a pure function of the scenario and seed.
 `Simulator.log` is a list, but only its `append` is ever called, so any
 object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from .engine import (AddressAssigned, Discarded, Frame, Node, NodeConfig, RedirectIssued,
                      RibChanged, SendFrame, TimerSet, decode_payload)
 from .pdu import ValidationProfile
+from .rib import EntryPool
 
 # `_deliver`'s marker for a pair not decoded yet: None is a decode result.
 _UNSEEN = object()
@@ -68,13 +71,14 @@ class Simulator:
         self.nodes: dict[str, _SimNode] = {}
         self._groups: dict[bytes, list[_SimNode]] = {}
         self._decoded: dict[tuple[bytes, ValidationProfile], object] = {}  # see _deliver
+        self.rib_entries = EntryPool()  # shared by every node's RIB
 
     # Setup --------------------------------------------------------------
 
     def add_node(self, name: str, config: NodeConfig, start: int = 0) -> Node:
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name}")
-        sn = _SimNode(name, Node(config))
+        sn = _SimNode(name, Node(config, self.rib_entries))
         self._set_timer(sn, start)
         self.nodes[name] = sn
         for destination in sn.node.listens_to():

@@ -243,6 +243,10 @@ def test_clnp_redirect_via_forwarding_table():
     # Longest prefix wins and the RD carries both SNPA and NET.
     assert rd.body.better_snpa == fwd_snpa
     assert rd.body.redirect_net == b"\x48" + bytes(19)
+    # Of equally long prefixes, the first in the table wins.
+    tied = make_is(forwarding_table=table + (ForwardingEntry(b"\x49\x02", IS_NET, ES_SNPA),))
+    events = tied.handle_frame(Frame(IS_SNPA, ES_SNPA, encode_clnp(ES_NSAP, ES2_NSAP)), 0)
+    assert RedirectIssued(ES2_NSAP, fwd_snpa) in events
 
 
 def test_clnp_no_route_no_redirect():
@@ -411,3 +415,44 @@ def test_handle_frame_is_handle_pdu_of_decode_payload(seed, kind, flips, cut, pr
     assert (framed.ct, framed.acquired_net) == (split.ct, split.acquired_net)
     if source == framed.config.snpa or not payload:
         assert got == []
+
+
+def test_frame_from_a_source_that_is_not_6_octets_is_ignored():
+    # Learned via a 1-octet SNPA, ES2 would later make the IS build an RD
+    # that encode refuses.
+    node = make_is()
+    esh = frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=60), b"\x01")
+    assert node.handle_frame(esh, 0) == []
+    assert node.rib.num_of_entry == 0
+    clnp = Frame(IS_SNPA, ES_SNPA, encode_clnp(ES_NSAP, ES2_NSAP))
+    assert node.handle_frame(clnp, 1) == []
+    # From a 6-octet SNPA the same frames are learned and redirected.
+    node.handle_frame(Frame(esh.destination, ES2_SNPA, esh.payload), 2)
+    assert RedirectIssued(ES2_NSAP, ES2_SNPA) in node.handle_frame(clnp, 3)
+
+
+SOURCES = st.sampled_from([ES_SNPA, ES2_SNPA, IS_SNPA]) | st.binary(max_size=8)
+DESTINATIONS = st.sampled_from([ALL_ES, ALL_IS, BROADCAST, ES_SNPA, IS_SNPA]) | st.binary(max_size=8)
+PAYLOADS = st.tuples(st.integers(0, 2**32),
+                     st.sampled_from(["esis", "atn-esis", "clnp", "raw", "es2"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames=st.lists(st.tuples(DESTINATIONS, SOURCES, PAYLOADS), max_size=6),
+       profile=st.sampled_from([LENIENT, ATN]), intermediate=st.booleans())
+def test_handle_frame_never_raises_and_sends_only_frames_that_decode(frames, profile,
+                                                                      intermediate):
+    forwarding = (ForwardingEntry(b"\x49", IS_NET, ES2_SNPA),)
+    node = (make_is(validation_profile=profile, forwarding_table=forwarding)
+            if intermediate else make_es(validation_profile=profile))
+    for now, (destination, source, (seed, kind)) in enumerate(frames):
+        rng = random.Random(seed)
+        if kind == "es2":  # an ESH whose NSAP a later CLNP frame may name
+            payload = frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=60), source).payload
+        else:
+            payload = random_payload(rng, kind)
+        for ev in node.handle_frame(Frame(destination, source, payload), now):
+            if isinstance(ev, SendFrame):
+                assert len(ev.frame.destination) == 6 and ev.frame.source == node.config.snpa
+                assert isinstance(decode_payload(ev.frame.payload, LENIENT),
+                                  (Pdu, MinimalClnpPdu))

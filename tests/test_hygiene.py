@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of esis imports is used in it, every
 private name it defines at module level is read in it, and no module uses
-a process-wide cache from functools."""
+a process-wide cache from functools or starts a module-level empty
+container that could become one."""
 
 import ast
 from pathlib import Path
@@ -146,3 +147,50 @@ def test_no_functools_caches(path):
     # A cache that outlives a Node or Simulator would be shared by every run
     # in the process, and a log must stay a pure function of its scenario.
     assert functools_caches(path.read_text(encoding="utf-8")) == []
+
+
+EMPTY_CALLS = {"set", "dict", "list"}
+
+
+def is_empty_container(node: ast.expr | None) -> bool:
+    """`{}`, `[]`, or `set()`, `dict()` or `list()` called with no arguments."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in EMPTY_CALLS and not node.args and not node.keywords)
+
+
+def module_level_empty_containers(source: str) -> list[str]:
+    """Module-level names bound, plainly or with an annotation, to an empty
+    container: a cache with no owner, shared by every run in the process."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and is_empty_container(node.value):
+            targets = [t for target in node.targets
+                       for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+        elif isinstance(node, ast.AnnAssign) and is_empty_container(node.value):
+            targets = [node.target]
+        else:
+            continue
+        found += [f"{t.id} (line {node.lineno})" for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_checker_finds_module_level_empty_containers():
+    assert module_level_empty_containers(
+        "_A = {}\nB: dict[str, int] = {}\n_C = []\nD = set()\nE = F = dict()\n"
+        "G: list = list()\nH = {1: 2}\nI = set([1])\nJ = frozenset()\nK = ()\n"
+        "L = dict(a=1)\nM = tuple()\n"
+        "def f():\n    local = {}\nclass N:\n    attr = []\n") == [
+        "_A (line 1)", "B (line 2)", "_C (line 3)", "D (line 4)", "E (line 5)",
+        "F (line 5)", "G (line 6)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_empty_containers(path):
+    # Caches and pools belong to a Node, a Rib or a Simulator, as the RIB
+    # entry pool does: a module-level one is unbounded and shared between
+    # simulators.
+    assert module_level_empty_containers(path.read_text(encoding="utf-8")) == []

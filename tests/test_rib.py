@@ -1,6 +1,6 @@
 import random
 
-from esis.rib import EntryKind, HopKind, InsertResult, Rib
+from esis.rib import EntryKind, EntryPool, HopKind, InsertResult, Rib
 
 A = b"\x49" + bytes(19)
 B = b"\x4a" + bytes(19)
@@ -173,22 +173,29 @@ class MapModel:
 
 
 def test_model_equivalence_random_ops():
+    # Two RIBs share one pool, as the nodes of one simulator do, each checked
+    # against a model of its own. About half of all inserts reach both, as a
+    # multicast hello does, so the RIBs hold shared entries.
     rng = random.Random(1234)
-    rib, model = Rib(), MapModel()
+    pool = EntryPool()
+    ribs, models = [Rib(pool), Rib(pool)], [MapModel(), MapModel()]
     addrs = [bytes([i]) * 8 for i in range(12)]
     snpas = [bytes([0, 0, 0, 0, 0, i]) for i in range(4)]
     now = 0
-    for _ in range(3000):
+    for _ in range(6000):
         now += rng.randint(0, 3)
         op = rng.randrange(8)
+        i = rng.randrange(2)
+        rib, model = ribs[i], models[i]
         # Holding times are drawn afresh, so about half of all refreshes
         # move an expiry earlier.
         holding = rng.randint(1, 30)
         a, s = rng.choice(addrs), rng.choice(snpas)
         if op == 0:
             kind = rng.choice(list(EntryKind))
-            assert (rib.insert_entry(kind, a, s, holding, now)
-                    == model.insert(kind, a, s, holding, now))
+            for j in ((0, 1) if rng.random() < 0.5 else (i,)):
+                assert (ribs[j].insert_entry(kind, a, s, holding, now)
+                        == models[j].insert(kind, a, s, holding, now))
         elif op == 1:
             got = rib.lookup(a, now)
             want = model.lookup(a, now)
@@ -210,8 +217,11 @@ def test_model_equivalence_random_ops():
             assert rib.has_live_is(now) == model.has_live_is(now)
         else:
             assert rib.dump(now) == model.dump(now)
-        assert (rib.num_of_entry == len(rib.entries)
-                == len(rib.es_neighbors) + len(rib.is_neighbors) == len(model.entries))
+        for rib, model in zip(ribs, models):
+            assert (rib.num_of_entry == len(rib.entries)
+                    == len(rib.es_neighbors) + len(rib.is_neighbors) == len(model.entries))
+    shared = [e for e in ribs[0].entries if any(e is f for f in ribs[1].entries)]
+    assert shared, "no entry ended up shared"
 
 
 def test_lookup_of_address_held_under_both_kinds_returns_first_inserted():
@@ -253,3 +263,14 @@ def test_redirect_with_shorter_holding_time_is_flushed_at_new_expiry():
     assert rib.flush_expired(30) == 0
     assert rib.refresh_redirect(D, S1, 30, 10)  # now expires at 40
     assert rib.flush_expired(40) == 1
+
+
+def test_standalone_rib_pool_holds_one_time_steps_inserts():
+    rib = Rib()
+    for now in range(1000):
+        for kind in EntryKind:
+            for address in (A, B, D):
+                rib.insert_entry(kind, address, S1, 60 + now % 7, now)
+        # The RIB's private pool (read here as the private attribute).
+        assert len(rib._pool) == 6 and rib._pool.now == now
+    assert rib.num_of_entry == 6

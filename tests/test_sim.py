@@ -1,10 +1,14 @@
+import re
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
 import pytest
 
 from esis import pdu
 from esis.checksum import generate_checksum
 from esis.engine import ALL_ES, ALL_IS, BROADCAST, Frame, NodeConfig, Role
 from esis.pdu import EshBody, Pdu, ValidationProfile, encode
-from esis.scenario import build_simulator, parse_scenario
+from esis.scenario import build_simulator, load_scenario, parse_scenario
 from esis.sim import FaultPlan, Simulator, UnknownNode
 
 NSAP1 = b"\x49\x01" + bytes(18)
@@ -352,3 +356,63 @@ def test_atn_receivers_discard_what_lenient_ones_learn():
         f"t=5 node=IS1 RIB ES {a_nsap} via 020000000002 expires 65",
         "t=5 node=IS1 DISCARD ProtocolError(BadAddressLength)"]
     assert sim.node("IS1").rib.dump(5) == [f"ES {a_nsap} via 020000000002 expires 65"]
+
+
+def test_receivers_of_one_burst_share_one_frozen_entry():
+    sim = Simulator()
+    for name, snpa in (("ES2", S2), ("ES3", S3)):
+        sim.add_node(name, es_config(snpa, NSAP2), start=1000)
+    sim.transmit(Frame(ALL_ES, S1, SHORT_ESH), 0, "SRC")
+    sim.run_until(1)
+    es2, es3 = (sim.node(name).rib for name in ("ES2", "ES3"))
+    shared = es2.es_neighbors[b"\x49\x01"]
+    assert shared is es3.es_neighbors[b"\x49\x01"]
+    assert shared.dump_line() == "ES 4901 via 020000000001 expires 21"
+    with pytest.raises(FrozenInstanceError):
+        shared.expiry = 99
+    # A refresh that reaches ES2 alone gives ES2 a new entry; ES3 keeps the
+    # shared one, expiry and all.
+    sim.transmit(Frame(S2, S1, SHORT_ESH), 5, "SRC")
+    sim.run_until(6)
+    assert es2.es_neighbors[b"\x49\x01"].expiry == 26
+    assert es3.es_neighbors[b"\x49\x01"] is shared and shared.expiry == 21
+    assert es3.dump(6) == ["ES 4901 via 020000000001 expires 21"]
+
+
+def rib_lines_at(log, t):
+    return {l.split(" RIB ", 1)[1] for l in log
+            if l.startswith(f"t={t} ") and re.search(" RIB (ES|IS) ", l)}
+
+
+def test_pool_holds_only_the_last_time_steps_entries():
+    sim = three_node_sim()
+    sim.add_node("ES3", es_config(bytes.fromhex("020000000003"), b"\x49\x03" + bytes(18)), start=3)
+    log = sim.run_until(47)
+    last = max(int(l.split()[0][2:]) for l in log if re.search(" RIB (ES|IS) ", l))
+    pool = sim.rib_entries
+    assert pool.now == last
+    assert {e.line for e in pool.values()} == rib_lines_at(log, last)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SIDE_BY_SIDE = ("discovery.scn", "redirect.scn")
+
+
+def test_simulators_stepped_side_by_side_run_as_alone():
+    def alone(name):
+        sc = load_scenario(str(SCENARIOS / name))
+        sim = build_simulator(sc)
+        return sim.run_until(sc.until), sim.dump_ribs(sc.until)
+
+    scenarios = [load_scenario(str(SCENARIOS / name)) for name in SIDE_BY_SIDE]
+    sims = [build_simulator(sc) for sc in scenarios]
+    for t in range(max(sc.until for sc in scenarios) + 1):
+        for sc, sim in zip(scenarios, sims):
+            if t <= sc.until:
+                log = sim.run_until(t)
+                # Each pool holds entries of its own simulator only.
+                if sim.rib_entries:
+                    assert ({e.line for e in sim.rib_entries.values()}
+                            == rib_lines_at(log, sim.rib_entries.now))
+    for name, sc, sim in zip(SIDE_BY_SIDE, scenarios, sims):
+        assert (sim.log, sim.dump_ribs(sc.until)) == alone(name)
