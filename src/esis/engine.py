@@ -1,14 +1,15 @@
 """Per-node protocol engine: hello emission, input dispatch, redirects.
 
 An engine is a pure state machine: timer fires and received frames go in,
-EngineEvent values come out. All I/O belongs to the simulator. Input is two
-steps: `decode_payload` reads a payload under a validation profile, and
-`Node.handle_pdu` acts on what it read, so one decode can serve every
-receiver that shares the profile. `Node.handle_frame` does both. A stub
-CLNP's addresses are read by `pdu.read_parts`, as ES-IS ones are.
-`handle_pdu` finds the handler in one lookup, in its role's table
-(`_ES_INPUT`, `_IS_INPUT`), keyed on the body's type for a `Pdu`, else on
-the type of what was read.
+EngineEvent values come out, each the value it reports: a RIB change is the
+frozen entry the RIB now holds, a discard its `DiscardReason`. All I/O is
+the simulator's. Input is two steps: `decode_payload` reads a payload under
+a validation profile, and `Node.handle_pdu` acts on what it read, so one
+decode can serve every receiver that shares the profile.
+`Node.handle_frame` does both. A stub CLNP's addresses are read by
+`pdu.read_parts`, as ES-IS ones are. `handle_pdu` finds the handler in one
+lookup, in its role's table (`_ES_INPUT`, `_IS_INPUT`), keyed on the body's
+type for a `Pdu`, else on the type of what was read.
 Output is one path, `Node._emit`, which encodes and checksums each
 distinct `Pdu` once per node and reuses the octets for every later send.
 A periodic hello also reuses its `SendFrame`: `on_config_timer` keeps one
@@ -27,7 +28,7 @@ from .checksum import generate_checksum
 from .pdu import (AaBody, DiscardReason, EshBody, IshBody, LENIENT, NLPID_CLNP,
                   NLPID_ESIS, OptionCode, Part, Pdu, ProtocolDetail, RaBody, RdBody,
                   SNPA_LEN, ValidationProfile, protocol_error)
-from .rib import EntryKind, EntryPool, InsertResult, Rib
+from .rib import EntryKind, EntryPool, InsertResult, RedirectEntry, Rib, RibEntry
 
 ALL_ES = bytes.fromhex("09002b000004")
 ALL_IS = bytes.fromhex("09002b000005")
@@ -107,16 +108,6 @@ class SendFrame:
 
 
 @dataclass(frozen=True, slots=True)
-class RibChanged:
-    line: str
-
-
-@dataclass(frozen=True, slots=True)
-class Discarded:
-    reason: DiscardReason
-
-
-@dataclass(frozen=True, slots=True)
 class AddressAssigned:
     net: bytes
 
@@ -132,9 +123,10 @@ class TimerSet:
     at: int
 
 
-EngineEvent = SendFrame | RibChanged | Discarded | AddressAssigned | RedirectIssued | TimerSet
+EngineEvent = (SendFrame | RibEntry | RedirectEntry | DiscardReason | AddressAssigned
+               | RedirectIssued | TimerSet)
 
-_ROLE_MISMATCH = Discarded(protocol_error(ProtocolDetail.ROLE_MISMATCH))
+_ROLE_MISMATCH = protocol_error(ProtocolDetail.ROLE_MISMATCH)
 _INTERMEDIATE_SYSTEM = Role.INTERMEDIATE_SYSTEM
 _ES_NEIGHBOR, _IS_NEIGHBOR = EntryKind
 _INSERTED = InsertResult.INSERTED
@@ -263,7 +255,7 @@ class Node:
             result = self.rib.insert_entry(_ES_NEIGHBOR, addr,
                                            source_snpa, p.holding_time, now)
             newly_available |= result is _INSERTED
-            events.append(RibChanged(table[addr].dump_line()))
+            events.append(table[addr])
         if newly_available and self.config.role is _INTERMEDIATE_SYSTEM:
             events.append(self._emit(self._ish(), source_snpa))
         return events
@@ -273,8 +265,7 @@ class Node:
         body: IshBody = p.body
         result = self.rib.insert_entry(_IS_NEIGHBOR, body.net,
                                        source_snpa, p.holding_time, now)
-        events: list[EngineEvent] = [
-            RibChanged(self.rib.is_neighbors[body.net].dump_line())]
+        events: list[EngineEvent] = [self.rib.is_neighbors[body.net]]
         if result is _INSERTED and self.local_addresses():
             events.append(self._emit(self._esh(), source_snpa))
         for opt in p.options:
@@ -297,7 +288,7 @@ class Node:
         body: RdBody = p.body
         self.rib.record_redirect(body.destination, body.better_snpa,
                                  body.redirect_net, p.holding_time, now)
-        return [RibChanged(self.rib.redirects[body.destination].dump_line())]
+        return [self.rib.redirects[body.destination]]
 
     def handle_clnp_at_is(self, clnp: MinimalClnpPdu, source_snpa: bytes,
                           now: int) -> list[EngineEvent]:
@@ -327,7 +318,7 @@ class Node:
         if entry is None or entry.better_snpa != source_snpa:
             return []
         self.rib.refresh_redirect(clnp.source, source_snpa, now, entry.holding_time)
-        return [RibChanged(entry.dump_line())]
+        return [self.rib.redirects[clnp.source]]
 
     def assign_temporary_net(self, requester_snpa: bytes) -> bytes:
         """Deterministic 20-octet NET: 13 octets of our NET prefix, the
@@ -342,7 +333,7 @@ def _role_mismatch(node: Node, p: Pdu, source_snpa: bytes, now: int) -> list[Eng
 
 def _discarded(node: Node, reason: DiscardReason, source_snpa: bytes,
                now: int) -> list[EngineEvent]:
-    return [Discarded(reason)]
+    return [reason]
 
 
 # What `handle_pdu` does at a node of each role with each kind of

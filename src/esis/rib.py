@@ -5,7 +5,9 @@ Neighbor entries live in one table per `EntryKind`, `es_neighbors` and
 keyed on destination. A dict keeps insertion order and a replaced key
 keeps its place, so each dump section and "most recently first-inserted
 live IS" read straight off a table.
-A neighbor entry is frozen, renders its dump line once when built, and is
+Every RIB value, a `RibEntry` or a `RedirectEntry`, is frozen, renders its
+dump line into `line` once when built, and is replaced, never changed, so
+the engine reports a RIB change as the value itself. Neighbor entries are
 interned on (kind, address, SNPA, expiry) in an `EntryPool`: a simulator
 owns one for every node's RIB, so the receivers of a hello share one entry,
 a RIB built alone makes its own, and a pool holds one virtual time's entries.
@@ -70,9 +72,6 @@ class RibEntry:
         object.__setattr__(self, "line", f"{self.kind} {self.address.hex()} "
                                          f"via {self.snpa.hex()} expires {self.expiry}")
 
-    def dump_line(self) -> str:
-        return self.line
-
 
 class EntryPool(dict):
     """Shared `RibEntry` values keyed on (kind, address, SNPA, expiry), all
@@ -84,18 +83,19 @@ class EntryPool(dict):
         return e
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RedirectEntry:
     destination: bytes
     better_snpa: bytes
     redirect_net: bytes | None
     expiry: int
     holding_time: int
+    line: str = field(init=False, repr=False, compare=False)
 
-    def dump_line(self) -> str:
+    def __post_init__(self) -> None:
         net = f" net {self.redirect_net.hex()}" if self.redirect_net else ""
-        return (f"RD {self.destination.hex()} -> {self.better_snpa.hex()}"
-                f"{net} expires {self.expiry}")
+        object.__setattr__(self, "line", f"RD {self.destination.hex()} -> "
+                                         f"{self.better_snpa.hex()}{net} expires {self.expiry}")
 
 
 class _Entries:
@@ -204,23 +204,18 @@ class Rib:
         expiry = now + holding_time
         if expiry < self._next_expiry:
             self._next_expiry = expiry
-        r = self.redirects.get(destination)
-        if r is not None:
-            r.better_snpa = better_snpa
-            r.redirect_net = redirect_net
-            r.expiry = expiry
-            r.holding_time = holding_time
-            return _REPLACED
+        replaced = destination in self.redirects
         self.redirects[destination] = RedirectEntry(destination, better_snpa,
                                                     redirect_net, expiry, holding_time)
-        return _INSERTED
+        return _REPLACED if replaced else _INSERTED
 
     def refresh_redirect(self, destination: bytes, observed_snpa: bytes,
                          now: int, holding_time: int) -> bool:
-        """Extend a redirect only when traffic came over the same SNPA."""
+        """Extend a redirect, as a new entry, only when traffic came over the same SNPA."""
         r = self.redirects.get(destination)
         if r is not None and r.better_snpa == observed_snpa:
-            r.expiry = now + holding_time
+            r = self.redirects[destination] = RedirectEntry(
+                destination, observed_snpa, r.redirect_net, now + holding_time, r.holding_time)
             if r.expiry < self._next_expiry:
                 self._next_expiry = r.expiry
             return True
@@ -248,5 +243,4 @@ class Rib:
 
     def dump(self, now: int) -> list[str]:
         """Live entries, sections ES / IS / RD, each in insertion order."""
-        return ([e.line for e in self.entries if e.expiry > now]
-                + [r.dump_line() for r in self.redirects.values() if r.expiry > now])
+        return [e.line for e in chain(self.entries, self.redirects.values()) if e.expiry > now]

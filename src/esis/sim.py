@@ -11,8 +11,10 @@ of the payload under its validation profile, and a simulator decodes each
 distinct (payload, profile) pair once, so a hello repeated every period is
 decoded once. The simulator owns the `EntryPool` of every node's RIB, so
 the receivers of a hello share one frozen RIB entry, rendered once, and the
-pool holds one time step's entries. Time never runs backwards: scheduling
-before `now` is an error. The log is a pure function of the scenario and seed.
+pool holds one time step's entries. A RIB event is the entry itself, and
+one renderer logs either entry class by its `line`. Time never runs
+backwards: scheduling before `now` is an error. The log is a pure function
+of the scenario and seed.
 `Simulator.log` is a list, but only its `append` is ever called, so any
 object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
@@ -26,10 +28,10 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .engine import (AddressAssigned, Discarded, Frame, Node, NodeConfig, RedirectIssued,
-                     RibChanged, SendFrame, TimerSet, decode_payload)
-from .pdu import ValidationProfile
-from .rib import EntryPool
+from .engine import (AddressAssigned, Frame, Node, NodeConfig, RedirectIssued, SendFrame,
+                     TimerSet, decode_payload)
+from .pdu import DiscardReason, ValidationProfile
+from .rib import EntryPool, RedirectEntry, RibEntry
 
 # `_deliver`'s marker for a pair not decoded yet: None is a decode result.
 _UNSEEN = object()
@@ -226,9 +228,9 @@ def _on_timer_set(sim: Simulator, sn: _SimNode, ev: TimerSet, at: int) -> None:
 # the wire, and every other event is logged; a TimerSet also re-arms the timer.
 _ON_EVENT: dict[type, Callable] = {
     SendFrame: lambda sim, sn, ev, at: sim.transmit(ev.frame, at, sn.name),
-    RibChanged: lambda sim, sn, ev, at: sim.log.append(f"t={at} node={sn.name} RIB {ev.line}"),
-    Discarded: lambda sim, sn, ev, at: sim.log.append(
-        f"t={at} node={sn.name} DISCARD {ev.reason}"),
+    **dict.fromkeys((RibEntry, RedirectEntry), lambda sim, sn, ev, at: sim.log.append(
+        f"t={at} node={sn.name} RIB {ev.line}")),
+    DiscardReason: lambda sim, sn, ev, at: sim.log.append(f"t={at} node={sn.name} DISCARD {ev}"),
     AddressAssigned: lambda sim, sn, ev, at: sim.log.append(
         f"t={at} node={sn.name} ASSIGN net={ev.net.hex()}"),
     RedirectIssued: lambda sim, sn, ev, at: sim.log.append(

@@ -1,4 +1,6 @@
 import random
+import typing
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,13 @@ from hypothesis import strategies as st
 
 from esis import pdu as pdu_mod
 from esis.checksum import generate_checksum
-from esis.engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, Discarded, Frame,
+from esis.engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, EngineEvent, Frame,
                          ForwardingEntry, MinimalClnpPdu, Node, NodeConfig,
-                         RedirectIssued, RibChanged, Role, SendFrame, TimerSet,
+                         RedirectIssued, Role, SendFrame, TimerSet,
                          decode_clnp, decode_payload, encode_clnp)
-from esis.pdu import (ATN, LENIENT, AaBody, DiscardKind, EshBody, IshBody, Option,
-                      OptionCode, Pdu, PduType, RaBody, RdBody, decode, encode)
-from esis.rib import EntryKind, HopKind
+from esis.pdu import (ATN, CHECKSUM_ERROR, LENIENT, AaBody, DiscardReason, EshBody, IshBody,
+                      Option, OptionCode, Pdu, PduType, RaBody, RdBody, decode, encode)
+from esis.rib import EntryKind, HopKind, RedirectEntry, RibEntry
 from helpers import random_nsap, random_pdu
 
 ES_NSAP = b"\x49\x01" + bytes(18)
@@ -112,7 +114,7 @@ def test_is_handles_esh_notifies_once():
     node = make_is()
     esh = Pdu(EshBody((ES_NSAP, ES2_NSAP)), holding_time=60)
     events = node.handle_frame(frame_with(esh, ES_SNPA), 0)
-    ribs = [ev for ev in events if isinstance(ev, RibChanged)]
+    ribs = [ev for ev in events if isinstance(ev, RibEntry)]
     pdus = sent_pdus(events)
     assert len(ribs) == 2
     assert len(pdus) == 1  # one notification per PDU, not per address
@@ -151,8 +153,7 @@ def test_corrupted_esh_discarded_rib_unchanged():
                                                      holding_time=60))))
     payload[10] ^= 0x01
     events = node.handle_frame(Frame(IS_SNPA, ES_SNPA, bytes(payload)), 0)
-    assert events == [Discarded(events[0].reason)]
-    assert events[0].reason.kind is DiscardKind.CHECKSUM_ERROR
+    assert events == [CHECKSUM_ERROR]
     assert node.rib.num_of_entry == 0
 
 
@@ -176,8 +177,8 @@ def test_role_mismatches():
     ish = frame_with(Pdu(IshBody(IS_NET)), ES2_SNPA)
     for node, frame in [(es, ra), (is_, aa), (is_, rd), (is_, ish)]:
         events = node.handle_frame(frame, 0)
-        assert len(events) == 1 and isinstance(events[0], Discarded)
-        assert str(events[0].reason) == "ProtocolError(RoleMismatch)"
+        assert len(events) == 1 and isinstance(events[0], DiscardReason)
+        assert str(events[0]) == "ProtocolError(RoleMismatch)"
 
 
 def test_ra_aa_flow():
@@ -265,12 +266,37 @@ def test_clnp_refresh_at_es():
     # Reverse traffic over the same SNPA refreshes...
     events = node.handle_frame(Frame(ES_SNPA, ES2_SNPA,
                                      encode_clnp(ES2_NSAP, ES_NSAP)), 10)
-    assert any(isinstance(ev, RibChanged) for ev in events)
+    assert any(isinstance(ev, RedirectEntry) for ev in events)
     assert node.rib.lookup_redirect(ES2_NSAP, 10).expiry == 70
     # ...a different SNPA does not.
     assert node.handle_frame(Frame(ES_SNPA, IS_SNPA,
                                    encode_clnp(ES2_NSAP, ES_NSAP)), 20) == []
     assert node.rib.lookup_redirect(ES2_NSAP, 20).expiry == 70
+
+
+def test_redirect_entries_are_frozen():
+    node = make_es()
+    rd = Pdu(RdBody(ES2_NSAP, ES2_SNPA, None), holding_time=60)
+    [entry] = node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 0)
+    with pytest.raises(FrozenInstanceError):
+        entry.expiry = 99
+
+
+def test_rd_event_held_across_later_changes_keeps_its_expiry_and_line():
+    node = make_es()
+    rd = Pdu(RdBody(ES2_NSAP, ES2_SNPA, IS_NET), holding_time=60)
+    [held] = node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 0)
+    line = f"RD {ES2_NSAP.hex()} -> {ES2_SNPA.hex()} net {IS_NET.hex()} expires "
+    # Reverse traffic over the redirected path refreshes the redirect...
+    [refreshed] = node.handle_frame(Frame(ES_SNPA, ES2_SNPA,
+                                          encode_clnp(ES2_NSAP, ES_NSAP)), 10)
+    assert (refreshed.expiry, refreshed.line) == (70, line + "70")
+    assert node.rib.redirects[ES2_NSAP] is refreshed
+    # ...and a later RD replaces it; neither touches an event already returned.
+    [replaced] = node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 20)
+    assert (replaced.expiry, replaced.line) == (80, line + "80")
+    assert (held.expiry, held.line) == (60, line + "60")
+    assert (refreshed.expiry, refreshed.line) == (70, line + "70")
 
 
 def test_clnp_codec():
@@ -306,8 +332,8 @@ def test_rd_with_holding_time_zero_is_recorded_and_logged():
     # damaged RD can arrive with holding time 0 and expire as it lands.
     node = make_es()
     rd = Pdu(RdBody(ES2_NSAP, ES2_SNPA, None), holding_time=0)
-    assert node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 8) == [
-        RibChanged(f"RD {ES2_NSAP.hex()} -> {ES2_SNPA.hex()} expires 8")]
+    assert [ev.line for ev in node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 8)] == [
+        f"RD {ES2_NSAP.hex()} -> {ES2_SNPA.hex()} expires 8"]
     assert node.rib.lookup_redirect(ES2_NSAP, 8) is None
 
 
@@ -452,7 +478,14 @@ def test_handle_frame_never_raises_and_sends_only_frames_that_decode(frames, pro
         else:
             payload = random_payload(rng, kind)
         for ev in node.handle_frame(Frame(destination, source, payload), now):
+            assert isinstance(ev, typing.get_args(EngineEvent))
             if isinstance(ev, SendFrame):
                 assert len(ev.frame.destination) == 6 and ev.frame.source == node.config.snpa
                 assert isinstance(decode_payload(ev.frame.payload, LENIENT),
                                   (Pdu, MinimalClnpPdu))
+            elif isinstance(ev, RibEntry):  # a RIB event is the entry the RIB holds
+                table = (node.rib.es_neighbors if ev.kind is EntryKind.ES_NEIGHBOR
+                         else node.rib.is_neighbors)
+                assert table[ev.address] is ev
+            elif isinstance(ev, RedirectEntry):
+                assert node.rib.redirects[ev.destination] is ev

@@ -1,0 +1,107 @@
+"""Simulator invariants over small generated scenarios.
+
+A Hypothesis strategy writes valid scenario text: 2..6 nodes of either
+role and either validation profile, ct 1..10, start 0..10, latency 0..3,
+dropped and corrupted frames, down/up and `sendclnp` actions, `forward`
+entries when the latency is at least 1, and a run of at most 60 virtual
+seconds. Each scenario is parsed and run as `esis run` would run it, and
+its log and RIB dump are checked against properties that hold for every
+run.
+
+The stub CLNP frame has no lifetime, so two IS whose `forward` entries
+point at each other pass a frame back and forth for ever; at latency 0
+that never leaves one virtual time and the run does not end. Until the
+stub has a hop limit, `forward` entries are drawn only at latency >= 1.
+"""
+
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from esis.scenario import build_simulator, parse_scenario
+
+SNPAS = [f"02000000000{i}" for i in range(1, 7)]
+# AFI-47 20-octet addresses pass both profiles, the others the lenient one only.
+NSAPS = ["47" + "01" * 19, "47" + "02" * 19, "49" + "03" * 19, "49" + "04" * 19, "4905"]
+# The shortest payload a node sends is a CLNP stub between two 2-octet
+# NSAPs, 7 octets (an RA is 9), so these corrupt indices are always in range.
+CORRUPT_INDICES = ["random", *map(str, range(7))]
+SEND = re.compile(r"t=(\d+) node=(\S+) SEND dst=\w+ payload=(\w+)$")
+RECV = re.compile(r"t=(\d+) node=\S+ RECV src=(\w+) payload=(\w+)$")
+
+
+@st.composite
+def scenarios(draw):
+    names = [f"N{i}" for i in range(draw(st.integers(2, 6)))]
+    latency = draw(st.integers(0, 3))
+    lines = []
+    for name, snpa in zip(names, SNPAS):
+        role = draw(st.sampled_from(["es", "is"]))
+        keys = [f"role={role}", f"snpa={snpa}", f"ct={draw(st.integers(1, 10))}",
+                f"start={draw(st.integers(0, 10))}",
+                f"profile={draw(st.sampled_from(['lenient', 'atn']))}"]
+        if role == "is":
+            keys.append(f"net={draw(st.sampled_from(NSAPS))}")
+        else:  # an ES with no NSAP asks for one with an RA
+            keys += [f"nsap={a}" for a in draw(st.lists(st.sampled_from(NSAPS), max_size=2))]
+        lines.append(f"node {name} {' '.join(keys)}")
+        if role == "is" and latency and draw(st.booleans()):
+            lines.append(f"forward {name} prefix={draw(st.sampled_from(['47', '49']))} "
+                         f"net={draw(st.sampled_from(NSAPS))} snpa={draw(st.sampled_from(SNPAS))}")
+    until = draw(st.integers(0, 60))
+    lines += [f"latency {latency}", f"seed {draw(st.integers(0, 9))}",
+              f"until {until}"]
+    lines += [f"drop {n}" for n in draw(st.sets(st.integers(1, 40), max_size=3))]
+    lines += [f"corrupt {n} {draw(st.sampled_from(CORRUPT_INDICES))} "
+              f"{draw(st.sampled_from(['random', '00', 'ff', '82']))}"
+              for n in draw(st.sets(st.integers(1, 40), max_size=3))]
+    for _ in range(draw(st.integers(0, 6))):
+        at, name = draw(st.integers(0, until)), draw(st.sampled_from(names))
+        action = draw(st.sampled_from(["sendclnp", "down", "up"]))
+        if action == "sendclnp":
+            action += f" {name} {draw(st.sampled_from(NSAPS))} {draw(st.sampled_from(NSAPS))}"
+        else:
+            action += f" {name}"
+        lines.append(f"at {at} {action}")
+    return "\n".join(lines) + "\n"
+
+
+def run_alone(text):
+    sc = parse_scenario(text)
+    sim = build_simulator(sc)
+    return sim.run_until(sc.until), sim.dump_ribs(sc.until)
+
+
+def check_invariants(text, log, dump):
+    sc = parse_scenario(text)
+    times = [int(line.split(" ", 1)[0][2:]) for line in log]
+    assert times == sorted(times), "log time went backwards"
+    snpa_of = {decl.name: decl.config.snpa.hex() for decl in sc.nodes}
+    sent = set()
+    for line in log:
+        if m := SEND.match(line):
+            sent.add((int(m[1]), snpa_of[m[2]], m[3]))
+        elif m := RECV.match(line):
+            assert (int(m[1]) - sc.latency, m[2], m[3]) in sent, line
+    for line in dump:
+        if not line.startswith("-- rib "):
+            assert int(line.rsplit(" ", 1)[1]) > sc.until, line
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=scenarios(), second=scenarios())
+def test_generated_scenarios_keep_the_simulator_invariants(first, second):
+    log, dump = alone = run_alone(first)
+    check_invariants(first, log, dump)
+    assert run_alone(first) == alone
+    # Two simulators stepped side by side give what each gives alone, so no
+    # state leaks between them.
+    wanted = [alone, run_alone(second)]
+    parsed = [parse_scenario(text) for text in (first, second)]
+    sims = [build_simulator(sc) for sc in parsed]
+    for t in range(max(sc.until for sc in parsed) + 1):
+        for sc, sim in zip(parsed, sims):
+            if t <= sc.until:
+                sim.run_until(t)
+    assert [(sim.log, sim.dump_ribs(sc.until)) for sc, sim in zip(parsed, sims)] == wanted

@@ -4,6 +4,7 @@ a process-wide cache from functools or starts a module-level empty
 container that could become one."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -194,3 +195,14 @@ def test_no_module_level_empty_containers(path):
     # entry pool does: a module-level one is unbounded and shared between
     # simulators.
     assert module_level_empty_containers(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_name_the_bench_tracer_patches_is_defined_on_its_owner():
+    # The traced benchmark swaps each (owner, attr) through vars(owner), so a
+    # renamed or moved name makes its run fail; this reads bench/ only.
+    path = SRC.parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracer.PATCHES
+            if attr not in vars(owner)] == []

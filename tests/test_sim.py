@@ -1,10 +1,11 @@
 import re
+import typing
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
-from esis import pdu
+from esis import engine, pdu, sim as sim_mod
 from esis.checksum import generate_checksum
 from esis.engine import ALL_ES, ALL_IS, BROADCAST, Frame, NodeConfig, Role
 from esis.pdu import EshBody, Pdu, ValidationProfile, encode
@@ -367,7 +368,7 @@ def test_receivers_of_one_burst_share_one_frozen_entry():
     es2, es3 = (sim.node(name).rib for name in ("ES2", "ES3"))
     shared = es2.es_neighbors[b"\x49\x01"]
     assert shared is es3.es_neighbors[b"\x49\x01"]
-    assert shared.dump_line() == "ES 4901 via 020000000001 expires 21"
+    assert shared.line == "ES 4901 via 020000000001 expires 21"
     with pytest.raises(FrozenInstanceError):
         shared.expiry = 99
     # A refresh that reaches ES2 alone gives ES2 a new entry; ES3 keeps the
@@ -416,3 +417,7 @@ def test_simulators_stepped_side_by_side_run_as_alone():
                             == rib_lines_at(log, sim.rib_entries.now))
     for name, sc, sim in zip(SIDE_BY_SIDE, scenarios, sims):
         assert (sim.log, sim.dump_ribs(sc.until)) == alone(name)
+
+
+def test_every_engine_event_class_has_one_simulator_action():
+    assert set(typing.get_args(engine.EngineEvent)) == set(sim_mod._ON_EVENT)
