@@ -23,17 +23,22 @@ whole run, so they must be ≥ 1. `latency`, `until`, `start` and `at` times
 must be ≥ 0, so virtual time never runs backwards; `ct` must be ≥ 1,
 `multiplier` ≥ 2 and a corrupt index ≥ 0. `afi` and a corrupt value
 must be exactly one octet. An `snpa=` is 6 octets and an NSAP 1..20 octets;
-a forward `net=` may also be empty.
+a forward `net=` may also be empty. An integer is ASCII digits after an
+optional `-`; a colon in hex may stand only between whole octets.
+
+`at` values are parsed once per distinct token per parse and then shared:
+one `bytes` per NSAP token, the node's declared name, an interned kind.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
 from .engine import ForwardingEntry, NodeConfig, Role
-from .pdu import LENIENT, MAX_NSAP_LEN, Part, ValidationProfile, address_fault
+from .pdu import LENIENT, Part, ValidationProfile, address_fault
 from .sim import FaultPlan, Simulator
 
 
@@ -50,7 +55,7 @@ class NodeDecl:
     start: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Action:
     at: int
     kind: str  # sendclnp | down | up
@@ -70,11 +75,13 @@ class Scenario:
 
 
 def _hex(lineno: int, text: str, what: str) -> bytes:
-    cleaned = text.replace(":", "")
-    try:
-        return bytes.fromhex(cleaned)
-    except ValueError:
-        raise ScenarioError(lineno, f"bad hex for {what}: {text!r}")
+    # A colon may stand only between whole octets, as in 02:00:00:00:00:01.
+    if ":" not in text or all(group and len(group) % 2 == 0 for group in text.split(":")):
+        try:
+            return bytes.fromhex(text.replace(":", ""))
+        except ValueError:
+            pass
+    raise ScenarioError(lineno, f"bad hex for {what}: {text!r}")
 
 
 def _address(part: Part, lineno: int, text: str, what: str) -> bytes:
@@ -92,10 +99,10 @@ def _octet(lineno: int, text: str, what: str) -> int:
 
 
 def _int(lineno: int, text: str, what: str, minimum: int | None = None) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+    # int() would also take '+5', '1_0' and non-ASCII digits.
+    if not (text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit())):
         raise ScenarioError(lineno, f"bad integer for {what}: {text!r}")
+    value = int(text)
     if minimum is not None and value < minimum:
         raise ScenarioError(lineno, f"{what} must be ≥ {minimum}, got {value}")
     return value
@@ -198,28 +205,32 @@ def _parse_forward(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> 
     decl.config.forwarding_table += (entry,)
 
 
-def _parse_at(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> Action:
+def _nsap(nsaps: dict[str, bytes], lineno: int, text: str, what: str) -> bytes:
+    """The bytes of a checked NSAP token, one object per distinct token."""
+    addr = nsaps.get(text)
+    if addr is None:
+        addr = nsaps[text] = _address(Part.NSAP, lineno, text, what)
+    return addr
+
+
+def _parse_at(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
+              nsaps: dict[str, bytes]) -> Action:
     if len(args) < 3:
         raise ScenarioError(lineno, "at needs: <t> <action> <node> ...")
     at = _int(lineno, args[0], "time", minimum=0)
-    kind, node = args[1], args[2]
-    if node not in nodes:
-        raise ScenarioError(lineno, f"unknown node {node!r}")
+    kind, decl = args[1], nodes.get(args[2])
+    if decl is None:
+        raise ScenarioError(lineno, f"unknown node {args[2]!r}")
     if kind == "sendclnp":
         if len(args) != 5:
             raise ScenarioError(lineno, "sendclnp needs <node> <src-hex> <dst-hex>")
-        src = _hex(lineno, args[3], "source nsap")
-        dst = _hex(lineno, args[4], "destination nsap")
-        # Lengths are checked inline: `_address` on every line would slow a
-        # parse of many `at` lines by a fifth. It only words the error here.
-        if not (0 < len(src) <= MAX_NSAP_LEN and 0 < len(dst) <= MAX_NSAP_LEN):
-            _address(Part.NSAP, lineno, args[3], "source nsap")
-            _address(Part.NSAP, lineno, args[4], "destination nsap")
-        return Action(at, kind, node, src, dst)
+        return Action(at, "sendclnp", decl.name,
+                      _nsap(nsaps, lineno, args[3], "source nsap"),
+                      _nsap(nsaps, lineno, args[4], "destination nsap"))
     if kind in ("down", "up"):
         if len(args) != 3:
             raise ScenarioError(lineno, f"{kind} takes only a node name")
-        return Action(at, kind, node)
+        return Action(at, sys.intern(kind), decl.name)
     raise ScenarioError(lineno, f"unknown action {kind!r}")
 
 
@@ -228,6 +239,7 @@ def parse_scenario(text: str) -> Scenario:
     nodes: dict[str, NodeDecl] = {}
     snpas: set[bytes] = set()
     profiles: dict[tuple[bool, int], ValidationProfile] = {}
+    nsaps: dict[str, bytes] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -254,7 +266,7 @@ def parse_scenario(text: str) -> Scenario:
             val = None if args[2] == "random" else _octet(lineno, args[2], "value")
             sc.faults.corruptions[ordinal] = (idx, val)
         elif stmt == "at":
-            sc.actions.append(_parse_at(lineno, args, nodes))
+            sc.actions.append(_parse_at(lineno, args, nodes, nsaps))
         else:
             raise ScenarioError(lineno, f"unknown statement {stmt!r}")
     sc.nodes = list(nodes.values())

@@ -184,6 +184,31 @@ def test_parser_shares_one_profile_per_distinct_setting():
     assert again.config.validation_profile is not a
 
 
+def test_parser_shares_one_value_per_distinct_at_token():
+    nsaps = ["49" + f"{i:02x}" * 19 for i in range(3)]
+    text = ("node ES1 role=es snpa=020000000001\nnode ES2 role=es snpa=020000000002\n"
+            + "".join(f"at {t} sendclnp ES{t % 2 + 1} {nsaps[t % 3]} {nsaps[(t + 1) % 3]}\n"
+                      for t in range(60))
+            + "at 61 down ES1\nat 62 up ES1\nat 63 down ES2\nat 64 up ES2\n")
+    sc = parse_scenario(text)
+    sends = sc.actions[:60]
+    assert len({id(a.source_nsap) for a in sends} | {id(a.dest_nsap) for a in sends}) == 3
+    assert {a.source_nsap for a in sends} == {bytes.fromhex(n) for n in nsaps}
+    decls = {decl.name: decl for decl in sc.nodes}
+    assert all(a.node is decls[a.node].name for a in sc.actions)
+    for kind in ("sendclnp", "down", "up"):
+        assert len({id(a.kind) for a in sc.actions if a.kind == kind}) == 1
+    assert not hasattr(sc.actions[0], "__dict__")
+    # The sharing is per parse: a second parse makes values of its own.
+    again = parse_scenario(text).actions[0]
+    assert again.source_nsap == sends[0].source_nsap
+    assert again.source_nsap is not sends[0].source_nsap
+    # A bad token never enters the table, so its error names its own line.
+    bad = "\n".join(text.splitlines()[:4] + [f"at 9 sendclnp ES1 {nsaps[1]} {LONG_NSAP_HEX}"])
+    with pytest.raises(ScenarioError, match="line 5: destination nsap must be an NSAP"):
+        parse_scenario(bad)
+
+
 @pytest.mark.parametrize("line, msg", [
     ("latency -3", "latency must be ≥ 0"),
     ("at -4 down A", "time must be ≥ 0"),
@@ -213,6 +238,11 @@ def test_parser_shares_one_profile_per_distinct_setting():
     ("at 1 down A now", "down takes only a node name"),
     ("at 1 sendclnp A 4900", "sendclnp needs <node> <src-hex> <dst-hex>"),
     ("at 1 sendclnp A 4900 4x", "bad hex for destination nsap"),
+    ("until 1_0", "bad integer for until: '1_0'"),
+    ("at ٣ down A", "bad integer for time: '٣'"),
+    ("until +5", "bad integer for until"),
+    ("node B role=es snpa=0:2000000000:1", "bad hex for snpa: '0:2000000000:1'"),
+    ("node B role=es snpa=020000000002 nsap=4:900", "bad hex for nsap: '4:900'"),
     ("at 1 reboot A", "unknown action 'reboot'"),
     (f"node B role=es snpa=020000000002 nsap={LONG_NSAP_HEX}",
      f"nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
