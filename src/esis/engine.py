@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import pdu as pdu_mod
 from .checksum import generate_checksum
@@ -41,23 +42,22 @@ class Role(enum.Enum):
     INTERMEDIATE_SYSTEM = "is"
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+# Values built per frame or event are NamedTuples: built, hashed and compared in C.
+class Frame(NamedTuple):
     destination: bytes
     source: bytes
     payload: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class MinimalClnpPdu:
+class MinimalClnpPdu(NamedTuple):
     source: bytes
     destination: bytes
 
 
 def encode_clnp(source: bytes, destination: bytes) -> bytes:
-    """Two-address CLNP stub: NLPID, {len, src}, {len, dst}."""
-    return bytes([NLPID_CLNP, len(source)]) + source \
-        + bytes([len(destination)]) + destination
+    """Two-address CLNP stub: NLPID, {len, src}, {len, dst}. An address of
+    256 octets or more raises OverflowError."""
+    return b"%c%c%b%c%b" % (NLPID_CLNP, len(source), source, len(destination), destination)
 
 
 _CLNP_PARTS = (("source", Part.NSAP), ("destination", Part.NSAP))
@@ -102,8 +102,7 @@ class NodeConfig:
 
 # Engine events -------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SendFrame:
+class SendFrame(NamedTuple):
     frame: Frame
 
 
@@ -118,8 +117,7 @@ class RedirectIssued:
     snpa: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class TimerSet:
+class TimerSet(NamedTuple):
     at: int
 
 

@@ -28,6 +28,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 
 class EntryKind(str, enum.Enum):
@@ -49,8 +50,7 @@ class HopKind(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class NextHop:
+class NextHop(NamedTuple):
     kind: HopKind
     snpa: bytes | None = None
 
@@ -172,9 +172,7 @@ class Rib:
 
     def lookup_redirect(self, destination: bytes, now: int) -> RedirectEntry | None:
         r = self.redirects.get(destination)
-        if r is not None and r.expiry > now:
-            return r
-        return None
+        return r if r is not None and r.expiry > now else None
 
     def flush_expired(self, now: int) -> int:
         """Drop every entry and redirect with expiry <= now, in place.

@@ -3,18 +3,18 @@
 Timer fires, frame deliveries and scripted actions are queued in one list
 per virtual time, in the order they were scheduled, under a heap of those
 times; an event for the time being run starts a new list that runs next.
-Each entry carries the method that runs it, its target and one argument.
-A delivery map takes each destination SNPA that `Node.listens_to` names to
-its receivers in add order, and a frame is one event that delivers to them
-in that order. Each receiver acts through `Node.handle_pdu` on the decode
-of the payload under its validation profile, and a simulator decodes each
-distinct (payload, profile) pair once, so a hello repeated every period is
-decoded once. The simulator owns the `EntryPool` of every node's RIB, so
-the receivers of a hello share one frozen RIB entry, rendered once, and the
-pool holds one time step's entries. A RIB event is the entry itself, and
-one renderer logs either entry class by its `line`. Time never runs
-backwards: scheduling before `now` is an error. The log is a pure function
-of the scenario and seed.
+Each entry carries the method that runs it, its target and one argument. A
+delivery map takes each destination SNPA that `Node.listens_to` names to its
+receivers in add order, and a frame is one event that delivers to them in
+that order. Each receiver acts through `Node.handle_pdu` on the decode of
+the payload under its validation profile, read when the node is added, as
+the role and SNPA that place it in the delivery map are. A simulator decodes
+each distinct (payload, profile value) pair once. The simulator owns the
+`EntryPool` of every node's RIB, so the receivers of a hello share one
+frozen RIB entry, rendered once, and the pool holds one time step's entries.
+A RIB event is the entry itself, and one renderer logs either entry class by
+its `line`. Time never runs backwards: scheduling before `now` is an error.
+The log is a pure function of the scenario and seed.
 `Simulator.log` is a list, but only its `append` is ever called, so any
 object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
@@ -33,8 +33,14 @@ from .engine import (AddressAssigned, Frame, Node, NodeConfig, RedirectIssued, S
 from .pdu import DiscardReason, ValidationProfile
 from .rib import EntryPool, RedirectEntry, RibEntry
 
-# `_deliver`'s marker for a pair not decoded yet: None is a decode result.
-_UNSEEN = object()
+
+class _Decodes(dict):
+    """`decode_payload` results under `profile` by payload, each made on first lookup."""
+    def __init__(self, profile: ValidationProfile) -> None:
+        self.profile = profile
+
+    def __missing__(self, payload: bytes) -> object:
+        return self.setdefault(payload, decode_payload(payload, self.profile))
 
 
 @dataclass
@@ -55,6 +61,7 @@ class UnknownNode(KeyError):
 class _SimNode:
     name: str
     node: Node
+    decodes: _Decodes  # the decode table of the node's profile; see _deliver
     down: bool = False
     timer_token: int = 0
 
@@ -72,7 +79,7 @@ class Simulator:
         self.log: list[str] = []
         self.nodes: dict[str, _SimNode] = {}
         self._groups: dict[bytes, list[_SimNode]] = {}
-        self._decoded: dict[tuple[bytes, ValidationProfile], object] = {}  # see _deliver
+        self._decoded: dict[ValidationProfile, _Decodes] = {}  # see _deliver
         self.rib_entries = EntryPool()  # shared by every node's RIB
 
     # Setup --------------------------------------------------------------
@@ -80,7 +87,10 @@ class Simulator:
     def add_node(self, name: str, config: NodeConfig, start: int = 0) -> Node:
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name}")
-        sn = _SimNode(name, Node(config, self.rib_entries))
+        profile = config.validation_profile
+        if (decodes := self._decoded.get(profile)) is None:
+            decodes = self._decoded[profile] = _Decodes(profile)
+        sn = _SimNode(name, Node(config, self.rib_entries), decodes)
         self._set_timer(sn, start)
         self.nodes[name] = sn
         for destination in sn.node.listens_to():
@@ -101,8 +111,9 @@ class Simulator:
     def _schedule(self, at: int, run: Callable, target: object, arg: object = None) -> None:
         if at < self.now:
             raise ValueError(f"cannot schedule an event at t={at} before now t={self.now}")
-        events = self._queue.setdefault(at, [])
-        if not events:
+        events = self._queue.get(at)
+        if events is None:
+            events = self._queue[at] = []
             heapq.heappush(self._times, at)
         events.append((run, target, arg))
 
@@ -173,28 +184,21 @@ class Simulator:
     def _deliver(self, receivers: list[_SimNode], delivery: tuple[Frame, str], at: int) -> None:
         """Hand the frame to each receiver that is up, in add order.
 
-        When a receiver's profile is not the last one's object, the decode is
-        read from `_decoded`, keyed on the payload and the profile by value,
-        and made only for a pair not seen before, so receivers with equal but
-        distinct profiles still share one decode. Decode results are frozen,
-        so receivers and later frames share them. The dict grows with the
-        distinct payloads sent and the profiles that read them.
+        A receiver holds its profile's table of `_decoded`, found by value
+        when it was added, so equal but distinct profiles share decodes. When
+        its table is not the last receiver's, the decode is looked up by the
+        payload alone and made only for a payload not seen before. Decode
+        results are frozen, so receivers and later frames share them.
         """
         frame, recv = delivery
-        profile = decoded = None  # the last decode and the profile it was made under
+        table = decoded = None  # the last decode and the table it came from
         for sn in receivers:
             if not sn.down:
                 self.log.append(f"t={at} node={sn.name}{recv}")
-                node = sn.node
-                # Scenario nodes with equal settings share one profile object,
-                # so this test is one identity check per receiver.
-                if node.config.validation_profile is not profile:
-                    profile = node.config.validation_profile
-                    key = frame.payload, profile
-                    decoded = self._decoded.get(key, _UNSEEN)
-                    if decoded is _UNSEEN:
-                        decoded = self._decoded[key] = decode_payload(frame.payload, profile)
-                for ev in node.handle_pdu(decoded, frame.source, at):
+                if sn.decodes is not table:
+                    table = sn.decodes
+                    decoded = table[frame.payload]
+                for ev in sn.node.handle_pdu(decoded, frame.source, at):
                     _ON_EVENT[type(ev)](self, sn, ev, at)
 
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:

@@ -307,6 +307,22 @@ def test_clnp_codec():
     assert decode_clnp(b"\x82") is None
 
 
+@pytest.mark.parametrize("length", [0, 1, 20, 21, 255])
+def test_encode_clnp_octets(length):
+    # Each address length in turn on the source and, as 255 - length, on
+    # the destination: the stub is NLPID, {len, src}, {len, dst}.
+    source, destination = bytes(range(length)), b"\x49" * (255 - length)
+    assert encode_clnp(source, destination) == (
+        bytes([0x81, length]) + source + bytes([255 - length]) + destination)
+
+
+@pytest.mark.parametrize("source, destination", [(bytes(256), ES2_NSAP), (ES_NSAP, bytes(256))],
+                         ids=["source", "destination"])
+def test_encode_clnp_refuses_an_address_of_256_octets(source, destination):
+    with pytest.raises(OverflowError):
+        encode_clnp(source, destination)
+
+
 def test_clnp_decode_rejects_a_truncated_destination():
     assert decode_clnp(b"\x81\x01\x49\x05\x49") is None
 

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from esis.engine import Frame, MinimalClnpPdu, SendFrame, TimerSet
+from esis.rib import HopKind, NextHop
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "esis"
 # The package __init__ imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -109,6 +112,26 @@ def test_codec_values_are_slotted():
     # or stub CLNP kept in the simulator's decode memo, one per event.
     for path in SOURCES:
         assert unslotted_frozen_dataclasses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def per_frame_values() -> list:
+    """One of each value built per frame or event, from fresh bytes objects."""
+    frame = Frame(bytes([9, 0, 43, 0, 0, 4]), bytes([2, 0, 0, 0, 0, 1]), bytes([0x81, 1, 0x49]))
+    return [frame, MinimalClnpPdu(bytes([0x49, 1]), bytes([0x47, 2])), SendFrame(frame),
+            TimerSet(5), NextHop(HopKind.DIRECT, bytes([2, 0, 0, 0, 0, 2]))]
+
+
+@pytest.mark.parametrize("index", range(5), ids=lambda i: type(per_frame_values()[i]).__name__)
+def test_per_frame_values_are_immutable_and_compare_by_value(index):
+    # These are built for every frame sent or event out, so they carry no
+    # __dict__, take no assignment, and hash and compare by value.
+    value, twin = per_frame_values()[index], per_frame_values()[index]
+    assert not hasattr(value, "__dict__")
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert value._replace(**{value._fields[-1]: None}) != value
 
 
 FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}

@@ -328,6 +328,36 @@ def test_repeated_payload_is_decoded_once_per_profile_per_simulator(monkeypatch,
     assert calls == [(SHORT_ESH, atn) for atn in profiles]
 
 
+def test_unicast_run_hashes_and_compares_no_profile(monkeypatch):
+    # Each node holds its profile's decode table from when it was added, so
+    # a delivery, one per reception on unicast traffic, hashes no profile.
+    sc = load_scenario(str(SCENARIOS / "redirect.scn"))
+    sim = build_simulator(sc)
+    calls = []
+    for name in ("__hash__", "__eq__"):
+        original = getattr(ValidationProfile, name)
+        monkeypatch.setattr(ValidationProfile, name, lambda *args, _name=name, _original=original: (
+            calls.append(_name) or _original(*args)))
+    log = sim.run_until(sc.until)
+    groups = {a.hex() for a in (ALL_ES, ALL_IS, BROADCAST)}
+    unicast = [l for l in log if " SEND " in l and l.split("dst=")[1][:12] not in groups]
+    assert len(unicast) == 8  # 4 hello replies, 2 CLNP sends, the RD, the forwarded stub
+    assert calls == []
+
+
+def test_equal_profiles_share_one_decode_table_and_others_do_not():
+    sim = Simulator()
+    profiles = [ValidationProfile(), ValidationProfile(), pdu.LENIENT,
+                ValidationProfile(atn=True), pdu.ATN]
+    for i, profile in enumerate(profiles):
+        config = es_config(bytes([2, 0, 0, 0, 1, i]), NSAP2)
+        config.validation_profile = profile
+        sim.add_node(f"N{i}", config)
+    lenient, _, _, atn, _ = tables = [sn.decodes for sn in sim.nodes.values()]
+    assert [t is lenient for t in tables] == [True, True, True, False, False]
+    assert [t is atn for t in tables] == [False, False, False, True, True]
+
+
 # The ATN profile in a run: an atn IS and an atn ES with 20-octet AFI-47
 # addresses, and two lenient ES, one with an AFI-49 NSAP and one with a
 # 2-octet NSAP. L49 boots before the first ISH, so its all-ES burst reaches
