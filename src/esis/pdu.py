@@ -103,10 +103,13 @@ class DiscardReason:
 NOT_ES_IS = DiscardReason(DiscardKind.NOT_ES_IS)
 WRONG_VERSION = DiscardReason(DiscardKind.WRONG_VERSION)
 CHECKSUM_ERROR = DiscardReason(DiscardKind.CHECKSUM_ERROR)
+_PROTOCOL_ERRORS = {detail: DiscardReason(DiscardKind.PROTOCOL_ERROR, detail)
+                    for detail in ProtocolDetail}
 
 
 def protocol_error(detail: ProtocolDetail) -> DiscardReason:
-    return DiscardReason(DiscardKind.PROTOCOL_ERROR, detail)
+    """The one prebuilt discard for `detail`: decoding allocates none."""
+    return _PROTOCOL_ERRORS[detail]
 
 
 class InvariantViolation(ValueError):

@@ -13,8 +13,6 @@ from esis.engine import Frame, MinimalClnpPdu, SendFrame, TimerSet
 from esis.rib import HopKind, NextHop
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "esis"
-# The package __init__ imports names only to re-export them.
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(SRC.glob("*.py"))
 
 
@@ -39,7 +37,7 @@ def test_checker_finds_unused_import():
     assert unused_imports("from __future__ import annotations\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -74,7 +72,7 @@ def test_checker_finds_unused_private():
         "_A (line 1)", "_f (line 3)", "_C (line 4)", "_D (line 5)", "_E (line 5)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_privates(path):
     assert unused_privates(path.read_text(encoding="utf-8")) == []
 

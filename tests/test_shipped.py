@@ -1,9 +1,12 @@
 """Every shipped scenario's `esis run --dump-ribs` output, to stdout and to a
 `--log` file, is byte for byte the one recorded in bench/digests.json (which
-this test only reads)."""
+this test only reads), whatever the interpreter's hash seed."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,17 @@ def test_shipped_scenario_output_matches_recorded_digest(path, output, tmp_path,
     assert main(["run", str(path), "--dump-ribs", *to_log]) == 0
     text = log.read_text(encoding="utf-8") if output == "log" else capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == SHIPPED[path.name]
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_shipped_scenario_output_does_not_depend_on_the_hash_seed(path):
+    # Set and dict order of str and bytes keys follows PYTHONHASHSEED; no
+    # output line may.
+    outputs = []
+    for seed in ("1", "987"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "esis.cli", "run", str(path), "--dump-ribs"],
+                              capture_output=True, env=env, timeout=60, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0]).hexdigest() == SHIPPED[path.name]
