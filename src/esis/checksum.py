@@ -20,6 +20,11 @@ class ChecksumVerdict(enum.Enum):
     INVALID = "Invalid"
 
 
+# verify_checksum returns these names: reading an Enum member off its class
+# costs about 0.1 us on Python 3.11, a tenth of a whole verification.
+_VALID, _NOT_USED, _INVALID = ChecksumVerdict
+
+
 class HeaderTooShort(ValueError):
     pass
 
@@ -40,12 +45,15 @@ def verify_checksum(header: bytes) -> ChecksumVerdict:
         raise HeaderTooShort(f"header length {len(header)} < {MIN_HEADER}")
     x, y = header[CSUM_POS], header[CSUM_POS + 1]
     if x == 0 and y == 0:
-        return ChecksumVerdict.NOT_USED
+        return _NOT_USED
     if x == 0 or y == 0:
-        return ChecksumVerdict.INVALID
-    if _sums(header) == (0, 0):
-        return ChecksumVerdict.VALID
-    return ChecksumVerdict.INVALID
+        return _INVALID
+    # _sums(header) == (0, 0) in one step: c0 = 0 means 255 divides s, and
+    # then c1 = 0 means N(256) = s (mod 255**2), by the module docstring.
+    s = sum(header)
+    if s % 255 == 0 and (int.from_bytes(header, "big") - s) % 65025 == 0:
+        return _VALID
+    return _INVALID
 
 
 def generate_checksum(header: bytes) -> bytes:

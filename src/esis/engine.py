@@ -225,11 +225,14 @@ class Node:
     # Input path -------------------------------------------------------
 
     def handle_frame(self, frame: Frame, now: int) -> list[EngineEvent]:
-        """`handle_pdu` of the decoded payload; ignored unless from a 6-octet SNPA."""
-        if len(frame.source) != SNPA_LEN:
+        """`handle_pdu` of the decoded payload; ignored unless from a 6-octet
+        SNPA. Source and payload are read as `bytes`, whose slices hash."""
+        source = bytes(frame.source)
+        if len(source) != SNPA_LEN:
             return []
-        return self.handle_pdu(decode_payload(frame.payload, self.config.validation_profile),
-                               frame.source, now)
+        payload = bytes(frame.payload)
+        return self.handle_pdu(decode_payload(payload, self.config.validation_profile),
+                               source, now)
 
     def handle_pdu(self, decoded: Pdu | DiscardReason | MinimalClnpPdu | None,
                    source_snpa: bytes, now: int) -> list[EngineEvent]:

@@ -6,6 +6,12 @@ The address part of each type is described once, in PDU_SPECS, and the
 rules for each option code once, in OPTION_RULES; encode and decode both
 read those tables. Options are {code, length, value} triples up to the
 length indicator.
+
+`decode` runs the ES-IS processing map in order and stops at the first
+failure: NLPID, fixed-part length, version, length indicator, checksum
+(ISO 8473 Annex C), reserved bits, type, address part, options. Address
+rules run in place on the length and first octets, with no helper call per
+address; each option goes through `_option_fault`, which `encode` shares.
 """
 
 from __future__ import annotations
@@ -123,14 +129,17 @@ class ValidationProfile:
     atn: bool = False
     afi: int = 0x47
 
+    @property
+    def nsap_rule(self) -> tuple[int, int | None]:
+        """The shortest NSAP length accepted, and the first octet required or None."""
+        return (MAX_NSAP_LEN, self.afi) if self.atn else (1, None)
+
     def check(self, addr: bytes) -> ProtocolDetail | None:
-        if not 1 <= len(addr) <= MAX_NSAP_LEN:
+        shortest, afi = self.nsap_rule
+        if not shortest <= len(addr) <= MAX_NSAP_LEN:
             return ProtocolDetail.BAD_ADDRESS_LENGTH
-        if self.atn:
-            if len(addr) != MAX_NSAP_LEN:
-                return ProtocolDetail.BAD_ADDRESS_LENGTH
-            if addr[0] != self.afi:
-                return ProtocolDetail.BAD_ADDRESS_VALUE
+        if afi is not None and addr[0] != afi:
+            return ProtocolDetail.BAD_ADDRESS_VALUE
         return None
 
 
@@ -227,11 +236,6 @@ class Pdu:
         return replace(self, checksum=(0, 0))
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvariantViolation(msg)
-
-
 def address_fault(part: Part, addr: bytes,
                   profile: ValidationProfile) -> ProtocolDetail | None:
     """The rule of `part` that `addr` breaks under `profile`, or None."""
@@ -246,7 +250,9 @@ def read_parts(buf: bytes, off: int, end: int, parts: tuple[tuple[str, Part], ..
                profile: ValidationProfile) -> tuple[list, int] | ProtocolDetail:
     """The {length, value} fields `parts` describes, read from `buf[off:end]`
     (an NSAP_LIST as a tuple, an empty NSAP_OR_EMPTY as None), with the
-    offset past the last; or the first rule broken, under `profile`."""
+    offset past the last; or the first rule broken, under `profile`. Each
+    address is checked in place, and sliced only if it passes."""
+    shortest, afi = profile.nsap_rule
     fields: list[bytes | tuple[bytes, ...] | None] = []
     for _, part in parts:
         count = 1
@@ -265,11 +271,15 @@ def read_parts(buf: bytes, off: int, end: int, parts: tuple[tuple[str, Part], ..
             off += 1 + alen
             if off > end:
                 return ProtocolDetail.TRUNCATED_PDU
-            addr = buf[off - alen:off]
-            fault = address_fault(part, addr, profile)
-            if fault is not None:
-                return fault
-            addrs.append(addr)
+            if part is _SNPA:
+                if alen != SNPA_LEN:
+                    return ProtocolDetail.BAD_ADDRESS_LENGTH
+            elif alen or part is not _NSAP_OR_EMPTY:
+                if not shortest <= alen <= MAX_NSAP_LEN:
+                    return ProtocolDetail.BAD_ADDRESS_LENGTH
+                if afi is not None and buf[off - alen] != afi:
+                    return ProtocolDetail.BAD_ADDRESS_VALUE
+            addrs.append(buf[off - alen:off])
         fields.append(tuple(addrs) if part is _NSAP_LIST else addrs[0] or None)
     return fields, off
 
@@ -309,14 +319,17 @@ def _option_error(fault: ProtocolDetail, code: int, pdu_type: PduType) -> str:
 def encode(pdu: Pdu) -> bytes:
     """Encode a PDU header; the checksum octets are copied as-is."""
     pdu_type, parts = PDU_SPECS[type(pdu.body)]
-    _require(0 <= pdu.holding_time <= 0xFFFF, "holding time must fit in 16 bits")
+    if not 0 <= pdu.holding_time <= 0xFFFF:
+        raise InvariantViolation("holding time must fit in 16 bits")
 
     out = bytearray(FIXED_LEN)
     for name, part in parts:
         value = getattr(pdu.body, name)
         if part is _NSAP_LIST:
-            _require(len(value) >= 1, "address count must be ≥ 1")
-            _require(len(value) <= 255, "too many source addresses")
+            if len(value) < 1:
+                raise InvariantViolation("address count must be ≥ 1")
+            if len(value) > 255:
+                raise InvariantViolation("too many source addresses")
             out.append(len(value))
         else:
             value = (value,)
@@ -337,7 +350,8 @@ def encode(pdu: Pdu) -> bytes:
         out += opt.value
 
     total = len(out)
-    _require(total <= 255, f"encoded header length {total} exceeds 255")
+    if total > 255:
+        raise InvariantViolation(f"encoded header length {total} exceeds 255")
     out[0] = NLPID_ESIS
     out[1] = total
     out[2] = VERSION
@@ -368,6 +382,8 @@ def decode(raw: bytes, profile: ValidationProfile = LENIENT) -> Pdu | DiscardRea
     if li < FIXED_LEN or li > len(raw):
         return protocol_error(ProtocolDetail.BAD_HEADER_LENGTH)
     header = raw[:li]
+    if type(header) is not bytes:  # a bytearray's fields would not hash
+        header = bytes(header)
     if verify_checksum(header) is _INVALID:
         return CHECKSUM_ERROR
     if header[3] != 0 or header[4] & 0xE0:
@@ -394,10 +410,9 @@ def decode(raw: bytes, profile: ValidationProfile = LENIENT) -> Pdu | DiscardRea
         off += 2 + olen
         if off > end:
             return protocol_error(ProtocolDetail.TRUNCATED_PDU)
-        value = bytes(header[off - olen:off])
+        value = header[off - olen:off]
         fault = _option_fault(code, value, pdu_type, seen)
         if fault is not None:
             return protocol_error(fault)
         opts.append(Option(code, value))
-    return Pdu(body=cls(*fields), holding_time=holding, options=tuple(opts),
-               checksum=checksum)
+    return Pdu(cls(*fields), holding, tuple(opts), checksum)

@@ -130,3 +130,30 @@ def test_sums_read_a_bytearray_as_its_bytes():
 def test_all_ff_headers_get_a_valid_checksum():
     for length in range(9, 256):
         assert verify_checksum(generate_checksum(b"\xff" * length)) is ChecksumVerdict.VALID
+
+
+def two_sum_verdict(header: bytes) -> ChecksumVerdict:
+    """verify_checksum as both sums define it: valid iff _sums gives (0, 0)."""
+    x, y = header[7], header[8]
+    if x == 0 and y == 0:
+        return ChecksumVerdict.NOT_USED
+    if x == 0 or y == 0 or _sums(header) != (0, 0):
+        return ChecksumVerdict.INVALID
+    return ChecksumVerdict.VALID
+
+
+def test_one_step_validity_agrees_with_both_sums_at_every_length():
+    rng = random.Random(12)
+    for length in range(9, 256):
+        valid = generate_checksum(random_header(rng, length, length))
+        headers = [valid, generate_checksum(bytes(length)), bytes(length),
+                   valid[:7] + b"\x00\x00" + valid[9:],  # zero checksum: not in use
+                   valid[:7] + b"\x00" + valid[8:], valid[:8] + b"\x00" + valid[9:]]
+        for pos in [7, 8, *rng.sample(range(length), min(length, 8))]:
+            new = (valid[pos] + rng.randrange(1, 256)) % 256
+            headers.append(valid[:pos] + bytes([new]) + valid[pos + 1:])
+        # A swap keeps the plain sum, so only the weighted half can fail.
+        pos = rng.randrange(length - 1)
+        headers.append(valid[:pos] + valid[pos + 1:pos + 2] + valid[pos:pos + 1] + valid[pos + 2:])
+        for header in headers:
+            assert verify_checksum(header) is two_sum_verdict(header), (length, header.hex())

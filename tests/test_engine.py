@@ -505,3 +505,25 @@ def test_handle_frame_never_raises_and_sends_only_frames_that_decode(frames, pro
                 assert table[ev.address] is ev
             elif isinstance(ev, RedirectEntry):
                 assert node.rib.redirects[ev.destination] is ev
+
+
+@pytest.mark.parametrize("octets", [bytes, bytearray, memoryview], ids=lambda t: t.__name__)
+def test_handle_frame_reads_any_bytes_like_source_and_payload(octets):
+    # A bytearray frame once decoded to bytearray fields, which the RIB
+    # could not hash.
+    def as_octets(frame):
+        return Frame(frame.destination, octets(frame.source), octets(frame.payload))
+
+    at_is = [frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=60), ES2_SNPA),
+             Frame(IS_SNPA, ES_SNPA, encode_clnp(ES_NSAP, ES2_NSAP))]
+    at_es = [frame_with(Pdu(IshBody(IS_NET), holding_time=60), IS_SNPA, ES_SNPA),
+             frame_with(Pdu(RdBody(ES2_NSAP, ES2_SNPA), holding_time=60), IS_SNPA, ES_SNPA)]
+    for make, frames in ((make_is, at_is), (make_es, at_es)):
+        node, reference = make(), make()
+        for now, frame in enumerate(frames):
+            got = node.handle_frame(as_octets(frame), now)
+            assert got == reference.handle_frame(frame, now)
+            assert all(type(ev) is not SendFrame or type(ev.frame.payload) is bytes
+                       for ev in got)
+        assert node.rib.dump(5) == reference.rib.dump(5) != []
+        assert node.rib.num_of_entry == reference.rib.num_of_entry > 0

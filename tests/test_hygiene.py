@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from esis import pdu
+from esis.checksum import generate_checksum
 from esis.engine import Frame, MinimalClnpPdu, SendFrame, TimerSet
 from esis.rib import HopKind, NextHop
 
@@ -227,3 +229,17 @@ def test_every_name_the_bench_tracer_patches_is_defined_on_its_owner():
     spec.loader.exec_module(tracer)
     assert [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracer.PATCHES
             if attr not in vars(owner)] == []
+
+
+def test_decode_verifies_each_frame_once_through_the_module_global(monkeypatch):
+    # The traced benchmark counts verifications by swapping pdu.verify_checksum,
+    # so decode must read that name when it runs, once per frame it checks.
+    calls = []
+    verify = pdu.verify_checksum
+    monkeypatch.setattr(pdu, "verify_checksum", lambda header: calls.append(header)
+                        or verify(header))
+    frame = generate_checksum(pdu.encode(pdu.Pdu(pdu.EshBody((bytes(20),)), holding_time=9)))
+    for raw in (frame, frame[:-1] + b"\x01", pdu.encode(pdu.Pdu(pdu.RaBody())) + b"tail"):
+        calls.clear()
+        pdu.decode(raw)
+        assert calls == [raw[:raw[1]]]

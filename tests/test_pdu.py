@@ -219,3 +219,18 @@ def test_equal_pdus_hash_equal():
     first, second = decode(raw), decode(raw)
     assert first is not second and first == second
     assert hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("octets", [bytes, bytearray, memoryview], ids=lambda t: t.__name__)
+def test_decode_reads_any_bytes_like_frame_into_hashable_bytes(octets):
+    rng = random.Random(23)
+    for _ in range(60):
+        raw = checksummed(random_pdu(rng))
+        got = decode(octets(raw))
+        assert got == decode(raw) and hash(got) == hash(decode(raw))
+        body = got.body
+        fields = [getattr(body, name) for name in body.__dataclass_fields__]
+        if isinstance(body, EshBody):
+            fields = list(body.source_addresses)
+        fields += [opt.value for opt in got.options]
+        assert {type(field) for field in fields} <= {bytes, type(None)}
