@@ -19,15 +19,17 @@ Unknown statements or keys are load errors, and so are keys that the
 node's role never reads: `net=` on an es node, `nsap=` on an is node and a
 `forward` line for an es node. `latency`, `seed`, `until` and `drop` take
 exactly one value. Fault ordinals count transmit calls from 1 across the
-whole run, so they must be ≥ 1. `latency`, `until`, `start` and `at` times
-must be ≥ 0, so virtual time never runs backwards; `ct` must be ≥ 1,
-`multiplier` ≥ 2 and a corrupt index ≥ 0. `afi` and a corrupt value
-must be exactly one octet. An `snpa=` is 6 octets and an NSAP 1..20 octets;
-a forward `net=` may also be empty. An integer is ASCII digits after an
-optional `-`; a colon in hex may stand only between whole octets.
+whole run, so they must be ≥ 1, and an ordinal takes one `corrupt` line at
+most. `latency`, `until`, `start` and `at` times must be ≥ 0, so virtual
+time never runs backwards; `ct` must be ≥ 1, `multiplier` ≥ 2 and a
+corrupt index ≥ 0. `afi` and a corrupt value must be exactly one octet. An
+`snpa=` is 6 octets and an NSAP 1..20 octets; a forward `net=` may also be
+empty. An integer is ASCII digits after an optional `-`; a colon in hex
+may stand only between whole octets.
 
 `at` values are parsed once per distinct token per parse and then shared:
-one `bytes` per NSAP token, the node's declared name, an interned kind.
+one `int` per time token, one `bytes` per NSAP token, the node's declared
+name, an interned kind. `build_simulator` injects the actions in file order.
 """
 
 from __future__ import annotations
@@ -205,30 +207,30 @@ def _parse_forward(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> 
     decl.config.forwarding_table += (entry,)
 
 
-def _nsap(nsaps: dict[str, bytes], lineno: int, text: str, what: str) -> bytes:
-    """The bytes of a checked NSAP token, one object per distinct token."""
-    addr = nsaps.get(text)
-    if addr is None:
-        addr = nsaps[text] = _address(Part.NSAP, lineno, text, what)
-    return addr
-
-
 def _parse_at(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
-              nsaps: dict[str, bytes]) -> Action:
-    if len(args) < 3:
+              times: dict[str, int], nsaps: dict[str, bytes]) -> Action:
+    """args[0] is 'at'. A time or NSAP token is checked and parsed the first
+    time it is seen, so a bad one raises before it enters its table."""
+    if len(args) < 4:
         raise ScenarioError(lineno, "at needs: <t> <action> <node> ...")
-    at = _int(lineno, args[0], "time", minimum=0)
-    kind, decl = args[1], nodes.get(args[2])
+    at = times.get(args[1])
+    if at is None:
+        at = times[args[1]] = _int(lineno, args[1], "time", minimum=0)
+    kind, decl = args[2], nodes.get(args[3])
     if decl is None:
-        raise ScenarioError(lineno, f"unknown node {args[2]!r}")
+        raise ScenarioError(lineno, f"unknown node {args[3]!r}")
     if kind == "sendclnp":
-        if len(args) != 5:
+        if len(args) != 6:
             raise ScenarioError(lineno, "sendclnp needs <node> <src-hex> <dst-hex>")
-        return Action(at, "sendclnp", decl.name,
-                      _nsap(nsaps, lineno, args[3], "source nsap"),
-                      _nsap(nsaps, lineno, args[4], "destination nsap"))
+        source = nsaps.get(args[4])
+        if source is None:
+            source = nsaps[args[4]] = _address(Part.NSAP, lineno, args[4], "source nsap")
+        dest = nsaps.get(args[5])
+        if dest is None:
+            dest = nsaps[args[5]] = _address(Part.NSAP, lineno, args[5], "destination nsap")
+        return Action(at, "sendclnp", decl.name, source, dest)
     if kind in ("down", "up"):
-        if len(args) != 3:
+        if len(args) != 4:
             raise ScenarioError(lineno, f"{kind} takes only a node name")
         return Action(at, sys.intern(kind), decl.name)
     raise ScenarioError(lineno, f"unknown action {kind!r}")
@@ -239,34 +241,39 @@ def parse_scenario(text: str) -> Scenario:
     nodes: dict[str, NodeDecl] = {}
     snpas: set[bytes] = set()
     profiles: dict[tuple[bool, int], ValidationProfile] = {}
+    times: dict[str, int] = {}
     nsaps: dict[str, bytes] = {}
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        args = line.split()
+        if not args:
             continue
-        stmt, *args = line.split()
-        if stmt == "node":
-            _parse_node(lineno, args, nodes, snpas, profiles)
+        stmt = args[0]
+        if stmt == "at":
+            sc.actions.append(_parse_at(lineno, args, nodes, times, nsaps))
+        elif stmt == "node":
+            _parse_node(lineno, args[1:], nodes, snpas, profiles)
         elif stmt == "forward":
-            _parse_forward(lineno, args, nodes)
+            _parse_forward(lineno, args[1:], nodes)
         elif stmt == "latency":
-            sc.latency = _one_int(lineno, args, "latency", minimum=0)
+            sc.latency = _one_int(lineno, args[1:], "latency", minimum=0)
         elif stmt == "seed":
-            sc.seed = _one_int(lineno, args, "seed")
+            sc.seed = _one_int(lineno, args[1:], "seed")
         elif stmt == "until":
-            sc.until = _one_int(lineno, args, "until", minimum=0)
+            sc.until = _one_int(lineno, args[1:], "until", minimum=0)
         elif stmt == "drop":
-            sc.faults.drops.add(_one_int(lineno, args, "drop ordinal", minimum=1))
+            sc.faults.drops.add(_one_int(lineno, args[1:], "drop ordinal", minimum=1))
         elif stmt == "corrupt":
-            if len(args) != 3:
+            if len(args) != 4:
                 raise ScenarioError(lineno, "corrupt needs <ordinal> <index|random> <value|random>")
-            ordinal = _int(lineno, args[0], "corrupt ordinal", minimum=1)
-            idx = (None if args[1] == "random"
-                   else _int(lineno, args[1], "octet index", minimum=0))
-            val = None if args[2] == "random" else _octet(lineno, args[2], "value")
+            ordinal = _int(lineno, args[1], "corrupt ordinal", minimum=1)
+            if ordinal in sc.faults.corruptions:
+                raise ScenarioError(lineno, f"duplicate corrupt ordinal {ordinal}")
+            idx = (None if args[2] == "random"
+                   else _int(lineno, args[2], "octet index", minimum=0))
+            val = None if args[3] == "random" else _octet(lineno, args[3], "value")
             sc.faults.corruptions[ordinal] = (idx, val)
-        elif stmt == "at":
-            sc.actions.append(_parse_at(lineno, args, nodes, nsaps))
         else:
             raise ScenarioError(lineno, f"unknown statement {stmt!r}")
     sc.nodes = list(nodes.values())
@@ -278,18 +285,17 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario(f.read())
 
 
-# Each action kind's Simulator.inject_* call.
-_INJECT: dict[str, Callable[[Simulator, Action], None]] = {
-    "sendclnp": lambda sim, a: sim.inject_clnp(a.at, a.node, a.source_nsap, a.dest_nsap),
-    "down": lambda sim, a: sim.inject_down(a.at, a.node),
-    "up": lambda sim, a: sim.inject_up(a.at, a.node),
-}
-
-
 def build_simulator(sc: Scenario) -> Simulator:
     sim = Simulator(latency=sc.latency, seed=sc.seed, faults=sc.faults)
     for decl in sc.nodes:
         sim.add_node(decl.name, decl.config, start=decl.start)
     for action in sc.actions:
-        _INJECT[action.kind](sim, action)
+        if action.kind == "sendclnp":
+            sim.inject_clnp(action.at, action.node, action.source_nsap, action.dest_nsap)
+        elif action.kind == "down":
+            sim.inject_down(action.at, action.node)
+        elif action.kind == "up":
+            sim.inject_up(action.at, action.node)
+        else:
+            raise ValueError(f"unknown action kind {action.kind!r}")
     return sim

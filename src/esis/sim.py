@@ -135,30 +135,37 @@ class Simulator:
     # Transmission ---------------------------------------------------------
 
     def transmit(self, frame: Frame, now: int, sender: str) -> None:
+        destination, source, payload = frame
+        # Delivery keys on the destination and decode on the payload, so each
+        # field is read as `bytes`.
+        if not type(destination) is type(source) is type(payload) is bytes:
+            frame = Frame(*map(bytes, frame))
+            destination, source, payload = frame
         self._tx_count += 1
         ordinal = self._tx_count
         if ordinal in self.faults.corruptions:
             idx, val = self.faults.corruptions[ordinal]
-            payload = bytearray(frame.payload)
+            octets = bytearray(payload)
             if idx is None:
-                idx = self.rng.randrange(len(payload))
-            if not 0 <= idx < len(payload):
+                idx = self.rng.randrange(len(octets))
+            if not 0 <= idx < len(octets):
                 raise ValueError(f"corrupt rule for frame {ordinal}: octet index {idx} "
-                                 f"is outside its {len(payload)}-octet payload")
+                                 f"is outside its {len(octets)}-octet payload")
             if val is None:
                 # Guaranteed to differ from the original octet.
-                val = (payload[idx] + self.rng.randrange(1, 256)) % 256
-            payload[idx] = val
-            frame = Frame(frame.destination, frame.source, bytes(payload))
-        payload_hex = frame.payload.hex()
-        self.log.append(f"t={now} node={sender} SEND dst={frame.destination.hex()} "
+                val = (octets[idx] + self.rng.randrange(1, 256)) % 256
+            octets[idx] = val
+            payload = bytes(octets)
+            frame = Frame(destination, source, payload)
+        payload_hex = payload.hex()
+        self.log.append(f"t={now} node={sender} SEND dst={destination.hex()} "
                         f"payload={payload_hex}")
         if ordinal in self.faults.drops:
             return
-        receivers = [sn for sn in self._groups.get(frame.destination, ()) if sn.name != sender]
+        receivers = [sn for sn in self._groups.get(destination, ()) if sn.name != sender]
         if receivers:
             self._schedule(now + self.latency, Simulator._deliver, receivers,
-                           (frame, f" RECV src={frame.source.hex()} payload={payload_hex}"))
+                           (frame, f" RECV src={source.hex()} payload={payload_hex}"))
 
     # Event loop -------------------------------------------------------------
 

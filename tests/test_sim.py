@@ -98,6 +98,30 @@ def test_drop_rule_suppresses_delivery():
     assert recv_lines(log) == []
 
 
+@pytest.mark.parametrize("fields", ["destination", "source", "payload", "all"])
+def test_transmit_reads_bytes_like_fields_as_bytes(fields, monkeypatch):
+    # Delivery keys on the destination and decode on the payload, so a
+    # bytearray field once raised "unhashable type".
+    esh = Frame(ALL_IS, S1, generate_checksum(encode(Pdu(EshBody((NSAP1,)), holding_time=20))))
+    as_bytearray = esh._replace(**{name: bytearray(getattr(esh, name)) for name in esh._fields
+                                   if fields in (name, "all")})
+    calls = []
+    transmit = Simulator.transmit
+    monkeypatch.setattr(Simulator, "transmit",
+                        lambda sim, *args: calls.append(args) or transmit(sim, *args))
+    runs = []
+    for frame in (esh, as_bytearray):
+        sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={2: (12, None)}))
+        sim.transmit(frame, 0, "ES1")
+        sim.transmit(frame, 0, "ES1")  # the second is corrupted
+        runs.append((sim.run_until(1), sim.dump_ribs()))
+        assert type(sim.node("IS1").rib.lookup(NSAP1, 1).snpa) is bytes
+    assert runs[1] == runs[0]
+    events = [line.split()[2] for line in runs[0][0]]
+    assert events == ["SEND", "SEND", "RECV", "RIB", "SEND", "RECV", "DISCARD"]
+    assert len(calls) == 2 * events.count("SEND")  # one transmit call per frame
+
+
 def test_corruption_mutates_payload():
     sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={1: (0, 0x99)}))
     sim.transmit(Frame(S2, S1, b"\x55\x66"), 0, "ES1")
