@@ -10,11 +10,10 @@ decode can serve every receiver that shares the profile.
 `pdu.read_parts`, as ES-IS ones are. `handle_pdu` finds the handler in one
 lookup, in its role's table (`_ES_INPUT`, `_IS_INPUT`), keyed on the body's
 type for a `Pdu`, else on the type of what was read.
-Output is one path, `Node._emit`, which encodes and checksums each
-distinct `Pdu` once per node and reuses the octets for every later send.
-A periodic hello also reuses its `SendFrame`: `on_config_timer` keeps one
-per destination, holding time and addresses (or NET), so a hello that has
-not changed builds nothing.
+Output is one method, `Node._send`, keyed on what fixes a PDU's octets:
+its body class, holding time and fields. It encodes and checksums each
+distinct PDU once per node, and a repeated hello or reply builds no `Pdu`,
+only its frame.
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ _INSERTED = InsertResult.INSERTED
 
 
 class Node:
-    __slots__ = ("config", "rib", "ct", "acquired_net", "_encoded", "_hellos", "_on_input")
+    __slots__ = ("config", "rib", "ct", "acquired_net", "_payloads", "_on_input")
 
     def __init__(self, config: NodeConfig, pool: EntryPool | None = None) -> None:
         if config.role is _INTERMEDIATE_SYSTEM and config.local_net is None:
@@ -144,8 +143,7 @@ class Node:
         self.rib = Rib(pool)
         self.ct = config.configuration_timer
         self.acquired_net: bytes | None = None
-        self._encoded: dict[Pdu, bytes] = {}  # see _emit
-        self._hellos: dict[tuple, SendFrame] = {}  # see _hello
+        self._payloads: dict[tuple, bytes] = {}  # see _send
         self._on_input = _IS_INPUT if config.role is _INTERMEDIATE_SYSTEM else _ES_INPUT
 
     @property
@@ -174,51 +172,36 @@ class Node:
         return Frame(snpa if snpa is not None else BROADCAST, self.config.snpa,
                      encode_clnp(source, destination))
 
-    def _emit(self, p: Pdu, destination: bytes) -> SendFrame:
-        """Send `p`, encoded and checksummed once per distinct value.
+    def _send(self, destination: bytes, holding_time: int, body_cls: type,
+              *fields: object) -> SendFrame:
+        """A frame to `destination` of `Pdu(body_cls(*fields), holding_time)`.
 
-        `Pdu` is frozen and hashes by value, so a new holding time, option
-        or address is a new key and nothing is ever invalidated. The dict
-        grows with the distinct PDUs this node emits: its hello variants,
-        one AA per requester and one RD per destination and next hop.
+        The body class, holding time and fields fix the octets, so they are
+        the key: nothing is ever invalidated, the PDU is encoded and
+        checksummed only on a miss, and a hit builds no `Pdu`. The class
+        keeps an ISH and an AA of one NET apart. The dict grows with the
+        distinct PDUs this node emits: its hello variants, one AA per
+        requester and one RD per destination and next hop.
         """
-        payload = self._encoded.get(p)
+        key = body_cls, holding_time, fields
+        payload = self._payloads.get(key)
         if payload is None:
-            payload = self._encoded[p] = generate_checksum(pdu_mod.encode(p))
+            p = Pdu(body_cls(*fields), holding_time)
+            payload = self._payloads[key] = generate_checksum(pdu_mod.encode(p))
         return SendFrame(Frame(destination, self.config.snpa, payload))
-
-    def _esh(self) -> Pdu:
-        return Pdu(EshBody(self.local_addresses()), holding_time=self.holding_time)
-
-    def _ish(self) -> Pdu:
-        return Pdu(IshBody(self.config.local_net), holding_time=self.holding_time)
-
-    def _hello(self, destination: bytes, names: bytes | tuple[bytes, ...],
-               make: Callable[[], Pdu]) -> SendFrame:
-        """The hello `make` builds, sent to `destination`, once per value.
-
-        `names` is what the hello says of this node: its NET in an ISH, its
-        addresses in an ESH, () in an RA. With the destination and the
-        holding time it fixes the whole frame this node sends, so the key
-        is a value, nothing is invalidated, and `_emit` runs only on a miss.
-        """
-        key = destination, self.holding_time, names
-        send = self._hellos.get(key)
-        if send is None:
-            send = self._hellos[key] = self._emit(make(), destination)
-        return send
 
     def on_config_timer(self, now: int) -> list[EngineEvent]:
         """Periodic hello: ESH or ISH, or an RA while addressless."""
         self.rib.flush_expired(now)
         if self.config.role is _INTERMEDIATE_SYSTEM:
-            events: list[EngineEvent] = [self._hello(ALL_ES, self.config.local_net, self._ish)]
+            events: list[EngineEvent] = [
+                self._send(ALL_ES, self.holding_time, IshBody, self.config.local_net)]
         elif addresses := self.local_addresses():
-            events = [self._hello(ALL_IS, addresses, self._esh)]
+            events = [self._send(ALL_IS, self.holding_time, EshBody, addresses)]
             if not self.rib.has_live_is(now):
-                events.append(self._hello(ALL_ES, addresses, self._esh))
+                events.append(self._send(ALL_ES, self.holding_time, EshBody, addresses))
         else:
-            events = [self._hello(ALL_IS, (), lambda: Pdu(RaBody(), holding_time=0))]
+            events = [self._send(ALL_IS, 0, RaBody)]
         events.append(TimerSet(now + self.ct))
         return events
 
@@ -258,7 +241,8 @@ class Node:
             newly_available |= result is _INSERTED
             events.append(table[addr])
         if newly_available and self.config.role is _INTERMEDIATE_SYSTEM:
-            events.append(self._emit(self._ish(), source_snpa))
+            events.append(self._send(source_snpa, self.holding_time, IshBody,
+                                     self.config.local_net))
         return events
 
     def handle_ish(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
@@ -267,8 +251,8 @@ class Node:
         result = self.rib.insert_entry(_IS_NEIGHBOR, body.net,
                                        source_snpa, p.holding_time, now)
         events: list[EngineEvent] = [self.rib.is_neighbors[body.net]]
-        if result is _INSERTED and self.local_addresses():
-            events.append(self._emit(self._esh(), source_snpa))
+        if result is _INSERTED and (addresses := self.local_addresses()):
+            events.append(self._send(source_snpa, self.holding_time, EshBody, addresses))
         for opt in p.options:
             if opt.code == OptionCode.ESCT:
                 self.ct = (opt.value[0] << 8) | opt.value[1]
@@ -277,8 +261,7 @@ class Node:
 
     def handle_ra(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         net = self.assign_temporary_net(source_snpa)
-        aa = Pdu(AaBody(net), holding_time=self.holding_time)
-        return [self._emit(aa, source_snpa)]
+        return [self._send(source_snpa, self.holding_time, AaBody, net)]
 
     def handle_aa(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         body: AaBody = p.body
@@ -302,9 +285,10 @@ class Node:
             if match is None:
                 return []
             forward_to, net = match.next_is_snpa, match.next_is_net
-        rd = Pdu(RdBody(clnp.destination, forward_to, net), holding_time=self.holding_time)
         payload = encode_clnp(clnp.source, clnp.destination)
-        return [RedirectIssued(clnp.destination, forward_to), self._emit(rd, source_snpa),
+        return [RedirectIssued(clnp.destination, forward_to),
+                self._send(source_snpa, self.holding_time, RdBody, clnp.destination,
+                           forward_to, net),
                 SendFrame(Frame(forward_to, self.config.snpa, payload))]
 
     def _longest_prefix(self, destination: bytes) -> ForwardingEntry | None:

@@ -134,14 +134,6 @@ class ValidationProfile:
         """The shortest NSAP length accepted, and the first octet required or None."""
         return (MAX_NSAP_LEN, self.afi) if self.atn else (1, None)
 
-    def check(self, addr: bytes) -> ProtocolDetail | None:
-        shortest, afi = self.nsap_rule
-        if not shortest <= len(addr) <= MAX_NSAP_LEN:
-            return ProtocolDetail.BAD_ADDRESS_LENGTH
-        if afi is not None and addr[0] != afi:
-            return ProtocolDetail.BAD_ADDRESS_VALUE
-        return None
-
 
 LENIENT = ValidationProfile()
 ATN = ValidationProfile(atn=True)
@@ -149,7 +141,7 @@ ATN = ValidationProfile(atn=True)
 
 def validate_nsap(addr: bytes, profile: ValidationProfile = LENIENT) -> ProtocolDetail | None:
     """Return None when the address passes the profile, else the failure."""
-    return profile.check(addr)
+    return address_fault(Part.NSAP, addr, profile)
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,7 +235,12 @@ def address_fault(part: Part, addr: bytes,
         return None if len(addr) == SNPA_LEN else ProtocolDetail.BAD_ADDRESS_LENGTH
     if part is _NSAP_OR_EMPTY and not addr:
         return None
-    return profile.check(addr)
+    shortest, afi = profile.nsap_rule
+    if not shortest <= len(addr) <= MAX_NSAP_LEN:
+        return ProtocolDetail.BAD_ADDRESS_LENGTH
+    if afi is not None and addr[0] != afi:
+        return ProtocolDetail.BAD_ADDRESS_VALUE
+    return None
 
 
 def read_parts(buf: bytes, off: int, end: int, parts: tuple[tuple[str, Part], ...],

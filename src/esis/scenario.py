@@ -175,8 +175,8 @@ def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
     if unread in values:
         raise ScenarioError(lineno, f"an {role.value} node takes no {unread}=")
     snpas.add(snpa)
-    # Nodes with equal settings share one frozen profile, so the simulator's
-    # per-receiver identity test on the profile holds across them.
+    # One frozen profile per distinct setting per parse: nodes with equal
+    # settings share it, and `add_node` finds their decode table by value.
     settings = values.get("profile", False), values.get("afi", 0x47)
     profile = profiles.get(settings)
     if profile is None:

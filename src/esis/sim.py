@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .engine import (AddressAssigned, Frame, Node, NodeConfig, RedirectIssued, SendFrame,
                      TimerSet, decode_payload)
-from .pdu import DiscardReason, ValidationProfile
+from .pdu import SNPA_LEN, DiscardReason, ValidationProfile
 from .rib import EntryPool, RedirectEntry, RibEntry
 
 
@@ -141,6 +141,8 @@ class Simulator:
         if not type(destination) is type(source) is type(payload) is bytes:
             frame = Frame(*map(bytes, frame))
             destination, source, payload = frame
+        if len(source) != SNPA_LEN:
+            raise ValueError(f"frame source {source.hex()} is not an SNPA of {SNPA_LEN} octets")
         self._tx_count += 1
         ordinal = self._tx_count
         if ordinal in self.faults.corruptions:

@@ -93,13 +93,17 @@ def test_es_greets_all_es_again_once_its_only_is_expires(holding):
     assert node.rib.num_of_entry == 0
 
 
-def test_unchanged_hello_is_reused_and_a_new_holding_time_is_not():
+def test_unchanged_hello_is_reused_and_a_new_holding_time_is_not(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pdu_mod, "encode", lambda p: calls.append(p) or encode(p))
     node = make_es()
     first = node.on_config_timer(0)[:2]
-    assert all(a is b for a, b in zip(first, node.on_config_timer(10)))
+    assert node.on_config_timer(10)[:2] == first
+    assert len(calls) == 1  # one ESH, to both groups, encoded once
     node.ct = 7
     again = node.on_config_timer(20)[:2]
     assert [decode(ev.frame.payload).holding_time for ev in again] == [14, 14]
+    assert len(calls) == 2
 
 
 def test_addressless_es_emits_ra():
@@ -407,6 +411,42 @@ def test_hellos_encode_each_distinct_pdu_once(monkeypatch):
     assert sends == 15
     assert calls == [Pdu(EshBody((ES_NSAP,)), holding_time=20),
                      Pdu(IshBody(IS_NET), holding_time=20)]
+
+
+def test_repeated_replies_and_redirects_build_no_pdu(monkeypatch):
+    node = make_is()
+    # ES2's hello teaches the IS where ES2 is, so ES1's CLNP frame to it earns an RD.
+    inputs = [(Pdu(EshBody((ES2_NSAP,)), holding_time=60), ES2_SNPA),
+              (Pdu(EshBody((ES_NSAP,)), holding_time=60), ES_SNPA),
+              (Pdu(RaBody()), ES_SNPA), (MinimalClnpPdu(ES_NSAP, ES2_NSAP), ES_SNPA)]
+
+    def replies(now):
+        return [[ev for ev in node.handle_pdu(p, source, now) if isinstance(ev, SendFrame)][0]
+                for p, source in inputs]
+
+    first = replies(0)
+    built = []
+    init = Pdu.__init__
+    monkeypatch.setattr(Pdu, "__init__",
+                        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    node.rib.flush_expired(100)  # so each hello is new again and earns an ISH
+    again = replies(100)
+    assert built == []
+    assert again == first
+    assert [type(decode(ev.frame.payload).body) for ev in again] == [IshBody, IshBody,
+                                                                       AaBody, RdBody]
+
+
+def test_ish_reply_and_aa_with_equal_nets_carry_different_payloads():
+    node = make_is()
+    snpa = bytes(6)
+    # The AA for this SNPA names the IS's own NET, so only the body class
+    # tells the two PDUs apart.
+    assert node.assign_temporary_net(snpa) == IS_NET
+    ish = node.handle_pdu(Pdu(EshBody((ES_NSAP,)), holding_time=60), snpa, 0)[-1]
+    aa = node.handle_pdu(Pdu(RaBody()), snpa, 0)[-1]
+    assert ish.frame.destination == aa.frame.destination == snpa
+    assert [type(decode(ev.frame.payload).body) for ev in (ish, aa)] == [IshBody, AaBody]
 
 
 def test_emitted_pdus_roundtrip():

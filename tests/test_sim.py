@@ -135,6 +135,24 @@ def test_corruption_index_past_payload_raises():
         sim.transmit(Frame(S2, S1, b"\x55\x66"), 0, "ES1")
 
 
+def test_transmit_rejects_a_source_that_is_not_an_snpa():
+    # A 1-octet source once reached the IS's RIB as `ES 4902… via 01`, and a
+    # CLNP frame to that ES then made the IS build an RD that encode refused.
+    esh = generate_checksum(encode(Pdu(EshBody((NSAP2,)), holding_time=20)))
+    sim = three_node_sim()
+    with pytest.raises(ValueError, match="frame source 01 is not an SNPA of 6 octets"):
+        sim.transmit(Frame(ALL_IS, b"\x01", esh), 0, "ES1")
+    sim.inject_clnp(3, "ES1", NSAP1, NSAP2)
+    log = sim.run_until(5)
+    assert not any(" via 01 " in line or " dst=01 " in line for line in log)
+    # The refused frame took no ordinal: the corruption rule hits the next frame.
+    sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={1: (0, 0x99)}))
+    with pytest.raises(ValueError):
+        sim.transmit(Frame(S2, S1[:5], b"\x55"), 0, "ES1")
+    sim.transmit(Frame(S2, S1, b"\x55"), 0, "ES1")
+    assert "payload=99" in recv_lines(sim.run_until(2))[0]
+
+
 def test_random_corruption_changes_an_octet():
     sim = three_node_sim(start=1000, seed=3, faults=FaultPlan(corruptions={1: (None, None)}))
     sim.transmit(Frame(S2, S1, b"\x55\x66"), 0, "ES1")
