@@ -41,7 +41,11 @@ class Role(enum.Enum):
     INTERMEDIATE_SYSTEM = "is"
 
 
-# Values built per frame or event are NamedTuples: built, hashed and compared in C.
+# Values built per frame or event are NamedTuples: hashed and compared in C, and
+# built in C on the frame path by `_new`, past each class's Python-level __new__.
+_new = tuple.__new__
+
+
 class Frame(NamedTuple):
     destination: bytes
     source: bytes
@@ -68,7 +72,7 @@ def decode_clnp(payload: bytes) -> MinimalClnpPdu | None:
     if not payload or payload[0] != NLPID_CLNP:
         return None
     read = pdu_mod.read_parts(payload, 1, len(payload), _CLNP_PARTS, LENIENT)
-    return None if type(read) is ProtocolDetail else MinimalClnpPdu(*read[0])
+    return None if type(read) is ProtocolDetail else _new(MinimalClnpPdu, read[0])
 
 
 def decode_payload(payload: bytes, profile: ValidationProfile
@@ -124,6 +128,7 @@ EngineEvent = (SendFrame | RibEntry | RedirectEntry | DiscardReason | AddressAss
                | RedirectIssued | TimerSet)
 
 _ROLE_MISMATCH = protocol_error(ProtocolDetail.ROLE_MISMATCH)
+_ESCT = OptionCode.ESCT
 _INTERMEDIATE_SYSTEM = Role.INTERMEDIATE_SYSTEM
 _ES_NEIGHBOR, _IS_NEIGHBOR = EntryKind
 _INSERTED = InsertResult.INSERTED
@@ -169,8 +174,8 @@ class Node:
     def clnp_frame(self, source: bytes, destination: bytes, now: int) -> Frame:
         """A stub CLNP frame to the RIB's next hop, or broadcast when it has none."""
         snpa = self.rib.next_hop(destination, now).snpa
-        return Frame(snpa if snpa is not None else BROADCAST, self.config.snpa,
-                     encode_clnp(source, destination))
+        return _new(Frame, (snpa if snpa is not None else BROADCAST, self.config.snpa,
+                            encode_clnp(source, destination)))
 
     def _send(self, destination: bytes, holding_time: int, body_cls: type,
               *fields: object) -> SendFrame:
@@ -188,7 +193,7 @@ class Node:
         if payload is None:
             p = Pdu(body_cls(*fields), holding_time)
             payload = self._payloads[key] = generate_checksum(pdu_mod.encode(p))
-        return SendFrame(Frame(destination, self.config.snpa, payload))
+        return _new(SendFrame, (_new(Frame, (destination, self.config.snpa, payload)),))
 
     def on_config_timer(self, now: int) -> list[EngineEvent]:
         """Periodic hello: ESH or ISH, or an RA while addressless."""
@@ -202,7 +207,7 @@ class Node:
                 events.append(self._send(ALL_ES, self.holding_time, EshBody, addresses))
         else:
             events = [self._send(ALL_IS, 0, RaBody)]
-        events.append(TimerSet(now + self.ct))
+        events.append(_new(TimerSet, (now + self.ct,)))
         return events
 
     # Input path -------------------------------------------------------
@@ -254,9 +259,9 @@ class Node:
         if result is _INSERTED and (addresses := self.local_addresses()):
             events.append(self._send(source_snpa, self.holding_time, EshBody, addresses))
         for opt in p.options:
-            if opt.code == OptionCode.ESCT:
+            if opt.code == _ESCT:
                 self.ct = (opt.value[0] << 8) | opt.value[1]
-                events.append(TimerSet(now + self.ct))
+                events.append(_new(TimerSet, (now + self.ct,)))
         return events
 
     def handle_ra(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
@@ -289,7 +294,7 @@ class Node:
         return [RedirectIssued(clnp.destination, forward_to),
                 self._send(source_snpa, self.holding_time, RdBody, clnp.destination,
                            forward_to, net),
-                SendFrame(Frame(forward_to, self.config.snpa, payload))]
+                _new(SendFrame, (_new(Frame, (forward_to, self.config.snpa, payload)),))]
 
     def _longest_prefix(self, destination: bytes) -> ForwardingEntry | None:
         return max((fe for fe in self.config.forwarding_table

@@ -95,13 +95,16 @@ class DiscardKind(enum.Enum):
     PROTOCOL_ERROR = "ProtocolError"
 
 
+_PROTOCOL_ERROR = DiscardKind.PROTOCOL_ERROR
+
+
 @dataclass(frozen=True, slots=True)
 class DiscardReason:
     kind: DiscardKind
     detail: ProtocolDetail | None = None
 
     def __str__(self) -> str:
-        if self.kind is DiscardKind.PROTOCOL_ERROR:
+        if self.kind is _PROTOCOL_ERROR:
             return f"ProtocolError({self.detail.value})"
         return self.kind.value
 
@@ -109,7 +112,7 @@ class DiscardReason:
 NOT_ES_IS = DiscardReason(DiscardKind.NOT_ES_IS)
 WRONG_VERSION = DiscardReason(DiscardKind.WRONG_VERSION)
 CHECKSUM_ERROR = DiscardReason(DiscardKind.CHECKSUM_ERROR)
-_PROTOCOL_ERRORS = {detail: DiscardReason(DiscardKind.PROTOCOL_ERROR, detail)
+_PROTOCOL_ERRORS = {detail: DiscardReason(_PROTOCOL_ERROR, detail)
                     for detail in ProtocolDetail}
 
 

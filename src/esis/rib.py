@@ -56,6 +56,8 @@ class NextHop(NamedTuple):
 
 
 UNKNOWN_HOP = NextHop(HopKind.UNKNOWN)
+_DIRECT, _VIA_IS = HopKind.DIRECT, HopKind.VIA_IS
+_new = tuple.__new__  # builds a NamedTuple in C, past its Python-level __new__
 _IS = EntryKind.IS_NEIGHBOR
 _INSERTED, _REPLACED = InsertResult
 
@@ -223,14 +225,14 @@ class Rib:
         """Redirect first, then direct ES neighbor, then any live IS."""
         r = self.lookup_redirect(destination, now)
         if r is not None:
-            return NextHop(HopKind.DIRECT, r.better_snpa)
+            return _new(NextHop, (_DIRECT, r.better_snpa))
         e = self.es_neighbors.get(destination)
         if e is not None and e.expiry > now:
-            return NextHop(HopKind.DIRECT, e.snpa)
+            return _new(NextHop, (_DIRECT, e.snpa))
         # Most recently first-inserted live IS wins.
         for e in reversed(self.is_neighbors.values()):
             if e.expiry > now:
-                return NextHop(HopKind.VIA_IS, e.snpa)
+                return _new(NextHop, (_VIA_IS, e.snpa))
         return UNKNOWN_HOP
 
     def has_live_is(self, now: int) -> bool:

@@ -5,16 +5,19 @@ per virtual time, in the order they were scheduled, under a heap of those
 times; an event for the time being run starts a new list that runs next.
 Each entry carries the method that runs it, its target and one argument. A
 delivery map takes each destination SNPA that `Node.listens_to` names to its
-receivers in add order, and a frame is one event that delivers to them in
-that order. Each receiver acts through `Node.handle_pdu` on the decode of
-the payload under its validation profile, read when the node is added, as
-the role and SNPA that place it in the delivery map are. A simulator decodes
-each distinct (payload, profile value) pair once. The simulator owns the
-`EntryPool` of every node's RIB, so the receivers of a hello share one
-frozen RIB entry, rendered once, and the pool holds one time step's entries.
-A RIB event is the entry itself, and one renderer logs either entry class by
-its `line`. Time never runs backwards: scheduling before `now` is an error.
-The log is a pure function of the scenario and seed.
+receivers in add order. A frame that someone other than its sender listens
+for is one event, holding a tuple of its destination's receivers copied at
+`transmit`, that delivers to them in that order and skips the sender by
+name; a frame only its sender hears schedules nothing. Each receiver acts
+through `Node.handle_pdu` on the decode of the payload under its validation
+profile, read when the node is added, as the role and SNPA that place it in
+the delivery map are. A simulator decodes each distinct (payload, profile
+value) pair once. The simulator owns the `EntryPool` of every node's RIB, so
+the receivers of a hello share one frozen RIB entry, rendered once, and the
+pool holds one time step's entries. A RIB event is the entry itself, and one
+renderer logs either entry class by its `line`. Time never runs backwards:
+scheduling before `now` is an error. The log is a pure function of the
+scenario and seed.
 `Simulator.log` is a list, but only its `append` is ever called, so any
 object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
@@ -57,7 +60,7 @@ class UnknownNode(KeyError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class _SimNode:
     name: str
     node: Node
@@ -139,8 +142,7 @@ class Simulator:
         # Delivery keys on the destination and decode on the payload, so each
         # field is read as `bytes`.
         if not type(destination) is type(source) is type(payload) is bytes:
-            frame = Frame(*map(bytes, frame))
-            destination, source, payload = frame
+            destination, source, payload = map(bytes, frame)
         if len(source) != SNPA_LEN:
             raise ValueError(f"frame source {source.hex()} is not an SNPA of {SNPA_LEN} octets")
         self._tx_count += 1
@@ -158,16 +160,17 @@ class Simulator:
                 val = (octets[idx] + self.rng.randrange(1, 256)) % 256
             octets[idx] = val
             payload = bytes(octets)
-            frame = Frame(destination, source, payload)
         payload_hex = payload.hex()
         self.log.append(f"t={now} node={sender} SEND dst={destination.hex()} "
                         f"payload={payload_hex}")
         if ordinal in self.faults.drops:
             return
-        receivers = [sn for sn in self._groups.get(destination, ()) if sn.name != sender]
-        if receivers:
-            self._schedule(now + self.latency, Simulator._deliver, receivers,
-                           (frame, f" RECV src={source.hex()} payload={payload_hex}"))
+        # Node names are unique, so this is "someone but the sender listens".
+        group = self._groups.get(destination, ())
+        if len(group) > 1 or group and group[0].name != sender:
+            self._schedule(now + self.latency, Simulator._deliver, tuple(group),
+                           (source, payload, sender,
+                            f" RECV src={source.hex()} payload={payload_hex}"))
 
     # Event loop -------------------------------------------------------------
 
@@ -190,8 +193,9 @@ class Simulator:
             for ev in sn.node.on_config_timer(at):
                 _ON_EVENT[type(ev)](self, sn, ev, at)
 
-    def _deliver(self, receivers: list[_SimNode], delivery: tuple[Frame, str], at: int) -> None:
-        """Hand the frame to each receiver that is up, in add order.
+    def _deliver(self, receivers: tuple[_SimNode, ...], delivery: tuple, at: int) -> None:
+        """Hand the frame's source and payload, from `delivery`, to each
+        receiver in add order that is up and is not the frame's sender.
 
         A receiver holds its profile's table of `_decoded`, found by value
         when it was added, so equal but distinct profiles share decodes. When
@@ -199,20 +203,21 @@ class Simulator:
         payload alone and made only for a payload not seen before. Decode
         results are frozen, so receivers and later frames share them.
         """
-        frame, recv = delivery
+        source, payload, sender, recv = delivery
         table = decoded = None  # the last decode and the table it came from
         for sn in receivers:
-            if not sn.down:
+            if not sn.down and sn.name != sender:
                 self.log.append(f"t={at} node={sn.name}{recv}")
                 if sn.decodes is not table:
                     table = sn.decodes
-                    decoded = table[frame.payload]
-                for ev in sn.node.handle_pdu(decoded, frame.source, at):
+                    decoded = table[payload]
+                for ev in sn.node.handle_pdu(decoded, source, at):
                     _ON_EVENT[type(ev)](self, sn, ev, at)
 
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:
         if not sn.down:
-            self.transmit(sn.node.clnp_frame(*addresses, at), at, sn.name)
+            source, destination = addresses
+            self.transmit(sn.node.clnp_frame(source, destination, at), at, sn.name)
 
     def _go_down(self, sn: _SimNode, _: None, at: int) -> None:
         sn.down = True

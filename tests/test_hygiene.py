@@ -1,9 +1,11 @@
 """Source hygiene: every name a module of esis imports is used in it, every
-private name it defines at module level is read in it, and no module uses
+private name it defines at module level is read in it, no module uses
 a process-wide cache from functools or starts a module-level empty
-container that could become one."""
+container that could become one, and no function on the frame path reads
+an enum member off its class."""
 
 import ast
+import enum
 import importlib.util
 from pathlib import Path
 
@@ -11,8 +13,9 @@ import pytest
 
 from esis import pdu
 from esis.checksum import generate_checksum
-from esis.engine import Frame, MinimalClnpPdu, SendFrame, TimerSet
-from esis.rib import HopKind, NextHop
+from esis.engine import (Frame, MinimalClnpPdu, Node, NodeConfig, Role, SendFrame,
+                         TimerSet, decode_clnp, encode_clnp)
+from esis.rib import EntryKind, HopKind, NextHop, Rib
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "esis"
 SOURCES = sorted(SRC.glob("*.py"))
@@ -132,6 +135,90 @@ def test_per_frame_values_are_immutable_and_compare_by_value(index):
             setattr(value, name, getattr(value, name))
     assert twin is not value and twin == value and hash(twin) == hash(value)
     assert value._replace(**{value._fields[-1]: None}) != value
+
+
+def built_values() -> dict[str, tuple[type, tuple]]:
+    """Each per-frame value as the engine or the RIB builds it, with its class."""
+    snpa, peer, is_snpa = (bytes([2, 0, 0, 0, 0, i]) for i in (1, 2, 255))
+    nsap, peer_nsap, net = (bytes([0x49, i]) + bytes(18) for i in (1, 2, 255))
+    es = Node(NodeConfig(Role.END_SYSTEM, snpa, local_nsaps=(nsap,)))
+    hello = es.on_config_timer(0)[0]
+    ish = pdu.Pdu(pdu.IshBody(net), 60, (pdu.Option(pdu.OptionCode.ESCT, b"\x00\x1e"),))
+    is_ = Node(NodeConfig(Role.INTERMEDIATE_SYSTEM, is_snpa, local_net=net))
+    is_.rib.insert_entry(EntryKind.ES_NEIGHBOR, peer_nsap, peer, 60, 0)
+    forward = is_.handle_pdu(MinimalClnpPdu(nsap, peer_nsap), snpa, 0)[-1]
+    rib = Rib()
+    rib.insert_entry(EntryKind.ES_NEIGHBOR, peer_nsap, peer, 60, 0)
+    rib.insert_entry(EntryKind.IS_NEIGHBOR, net, is_snpa, 60, 0)
+    rib.record_redirect(nsap, is_snpa, None, 60, 0)
+    return {
+        "clnp_frame": (Frame, es.clnp_frame(nsap, peer_nsap, 0)),
+        "hello SendFrame": (SendFrame, hello),
+        "hello Frame": (Frame, hello[0]),
+        "hello TimerSet": (TimerSet, es.on_config_timer(0)[-1]),
+        "ESCT TimerSet": (TimerSet, es.handle_pdu(ish, is_snpa, 0)[-1]),
+        "forward SendFrame": (SendFrame, forward),
+        "forward Frame": (Frame, forward[0]),
+        "decode_clnp": (MinimalClnpPdu, decode_clnp(encode_clnp(nsap, peer_nsap))),
+        "next_hop redirect": (NextHop, rib.next_hop(nsap, 0)),
+        "next_hop ES": (NextHop, rib.next_hop(peer_nsap, 0)),
+        "next_hop IS": (NextHop, rib.next_hop(bytes(20), 0)),
+    }
+
+
+def test_built_values_cover_each_hop_kind():
+    values = built_values()
+    assert [values[f"next_hop {name}"][1].kind for name in ("redirect", "ES", "IS")] == [
+        HopKind.DIRECT, HopKind.DIRECT, HopKind.VIA_IS]
+
+
+@pytest.mark.parametrize("name", list(built_values()))
+def test_per_frame_values_are_built_as_their_namedtuple(name):
+    # The engine and the RIB build these with tuple.__new__, past the field
+    # count check; each must still be its class, of its class's arity.
+    cls, value = built_values()[name]
+    assert type(value) is cls
+    twin = cls(*value)
+    assert value == twin and hash(value) == hash(twin)
+    assert value._replace(**{cls._fields[0]: value[0]}) == value
+    assert not hasattr(value, "__dict__")
+
+
+def enum_member_reads(source: str, namespace: dict) -> list[str]:
+    """Reads of `Cls.MEMBER` in a function or lambda body, where `namespace`
+    binds `Cls` to an enum class: a class attribute lookup on every call,
+    where a module-level alias is one global read."""
+    found: dict[ast.AST, tuple[int, str]] = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        for stmt in fn.body if isinstance(fn.body, list) else [fn.body]:
+            for node in ast.walk(stmt):  # outer functions come first, so inner ones win
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and isinstance(cls := namespace.get(node.value.id), enum.EnumMeta)
+                        and node.attr in cls.__members__):
+                    found[node] = (node.lineno, f"{name}: {node.value.id}.{node.attr} "
+                                                f"(line {node.lineno})")
+    return [text for _, text in sorted(found.values())]
+
+
+def test_checker_finds_enum_member_reads():
+    class Color(enum.Enum):
+        RED = 1
+
+    source = ("RED = Color.RED\ndef f(c=Color.RED):\n    return Color.RED, Color.name\n"
+              "g = lambda: Color.RED\nclass A:\n    def h(self):\n"
+              "        def inner():\n            return Color.RED\n        return RED\n")
+    assert enum_member_reads(source, {"Color": Color}) == [
+        "f: Color.RED (line 3)", "<lambda>: Color.RED (line 4)", "inner: Color.RED (line 8)"]
+
+
+@pytest.mark.parametrize("module", ["engine", "rib", "sim"])
+def test_frame_path_reads_no_enum_member_off_its_class(module):
+    mod = importlib.import_module(f"esis.{module}")
+    assert enum_member_reads((SRC / f"{module}.py").read_text(encoding="utf-8"),
+                             vars(mod)) == []
 
 
 FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}

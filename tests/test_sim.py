@@ -68,6 +68,31 @@ def test_group_delivery_excludes_sender():
     assert len(recv_lines(sim.run_until(2))) == 2
 
 
+def test_node_added_after_transmit_does_not_receive_that_frame():
+    # A frame goes to the receivers its destination had when it was sent.
+    sim = three_node_sim(start=1000)
+    sim.transmit(Frame(ALL_ES, S1, b"\x55"), 0, "ES1")
+    sim.add_node("ES3", es_config(bytes.fromhex("020000000003"), NSAP2), start=1000)
+    sim.transmit(Frame(ALL_ES, S1, b"\x66"), 0, "ES1")
+    got = [(l.split()[1], l.split("payload=")[1]) for l in recv_lines(sim.run_until(2))]
+    assert got == [("node=ES2", "55"), ("node=ES2", "66"), ("node=ES3", "66")]
+
+
+@pytest.mark.parametrize("latency", [1, -1])
+def test_frame_only_its_sender_hears_schedules_nothing(latency, monkeypatch):
+    # No delivery event, so a latency that would put it in the past raises nothing.
+    sim = Simulator(latency=latency)
+    sim.add_node("ES1", es_config(S1, NSAP1), start=1000)
+    sim.add_node("IS1", is_config(S3), start=1000)
+    scheduled, schedule = [], Simulator._schedule
+    monkeypatch.setattr(Simulator, "_schedule", lambda self, at, run, *rest: (
+        scheduled.append(run), schedule(self, at, run, *rest)))
+    for destination in (ALL_ES, S1):
+        sim.transmit(Frame(destination, S1, b"\x55"), 0, "ES1")
+    assert scheduled == []
+    assert [l.split()[2] for l in sim.log] == ["SEND", "SEND"]
+
+
 def test_unicast_to_unknown_snpa_reaches_nobody():
     sim = three_node_sim(start=1000)
     sim.transmit(Frame(bytes.fromhex("020000000099"), S1, b"\x55"), 0, "ES1")
