@@ -304,11 +304,9 @@ class Node:
     def handle_clnp_at_es(self, clnp: MinimalClnpPdu, source_snpa: bytes,
                           now: int) -> list[EngineEvent]:
         """Reverse traffic over the redirected path keeps the redirect alive."""
-        entry = self.rib.lookup_redirect(clnp.source, now)
-        if entry is None or entry.better_snpa != source_snpa:
-            return []
-        self.rib.refresh_redirect(clnp.source, source_snpa, now, entry.holding_time)
-        return [self.rib.redirects[clnp.source]]
+        if self.rib.refresh_redirect(clnp.source, source_snpa, now):
+            return [self.rib.redirects[clnp.source]]
+        return []
 
     def assign_temporary_net(self, requester_snpa: bytes) -> bytes:
         """Deterministic 20-octet NET: 13 octets of our NET prefix, the

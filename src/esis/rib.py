@@ -4,17 +4,18 @@ Neighbor entries live in one table per `EntryKind`, `es_neighbors` and
 `is_neighbors`, each a dict keyed on the address; redirects live in one
 keyed on destination. A dict keeps insertion order and a replaced key
 keeps its place, so each dump section and "most recently first-inserted
-live IS" read straight off a table.
+live IS" read straight off a table. An address held under both kinds reads
+as its live ES entry first, in `lookup` as in `next_hop`.
 Every RIB value, a `RibEntry` or a `RedirectEntry`, is frozen, renders its
 dump line into `line` once when built, and is replaced, never changed, so
 the engine reports a RIB change as the value itself. Neighbor entries are
 interned on (kind, address, SNPA, expiry) in an `EntryPool`: a simulator
 owns one for every node's RIB, so the receivers of a hello share one entry,
 a RIB built alone makes its own, and a pool holds one virtual time's entries.
-Entries carry an absolute expiry time; expiry <= now is expired. The RIB
-also keeps a lower bound on the earliest expiry it holds, lowered by every
-insert, redirect and refresh, so `flush_expired` before that time returns
-without a scan; a scan resets the bound.
+Entries carry an absolute expiry time; expiry <= now is expired. A refresh
+re-records a live redirect at its own holding time. The RIB keeps a lower
+bound on the earliest expiry it holds, lowered by every insert and redirect,
+so `flush_expired` before it returns without a scan; a scan resets it.
 Dump lines (stable text interface):
   ES <address-hex> via <snpa-hex> expires <t>
   IS <address-hex> via <snpa-hex> expires <t>
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -100,40 +100,23 @@ class RedirectEntry:
                                          f"{self.better_snpa.hex()}{net} expires {self.expiry}")
 
 
-class _Entries:
-    """A sized, iterable view of some tables' entries, table by table in
-    insertion order, that copies nothing."""
-    __slots__ = ("_tables",)
-
-    def __init__(self, *tables: dict[bytes, RibEntry]) -> None:
-        self._tables = tables
-
-    def __len__(self) -> int:
-        return sum(map(len, self._tables))
-
-    def __iter__(self) -> Iterator[RibEntry]:
-        return chain.from_iterable(t.values() for t in self._tables)
-
-
 class Rib:
     """Neighbor entries by kind and address, redirects by destination, each
     in insertion order, with expiry."""
-    __slots__ = ("es_neighbors", "is_neighbors", "redirects", "_next_expiry", "_pool", "_second")
+    __slots__ = ("es_neighbors", "is_neighbors", "redirects", "_next_expiry", "_pool")
 
     def __init__(self, pool: EntryPool | None = None) -> None:
         self.es_neighbors: dict[bytes, RibEntry] = {}
         self.is_neighbors: dict[bytes, RibEntry] = {}
         self.redirects: dict[bytes, RedirectEntry] = {}
         self._pool = EntryPool() if pool is None else pool
-        # Of an address held under both kinds, the kind inserted second.
-        self._second: dict[bytes, EntryKind] = {}
         # No entry or redirect expires before this; see flush_expired.
         self._next_expiry: float = math.inf
 
     @property
-    def entries(self) -> _Entries:
+    def entries(self) -> list[RibEntry]:
         """Every neighbor entry, the ES table's first."""
-        return _Entries(self.es_neighbors, self.is_neighbors)
+        return [*self.es_neighbors.values(), *self.is_neighbors.values()]
 
     @property
     def num_of_entry(self) -> int:
@@ -146,31 +129,21 @@ class Rib:
         expiry = now + holding_time
         if expiry < self._next_expiry:
             self._next_expiry = expiry
-        if kind is _IS:
-            table, other = self.is_neighbors, self.es_neighbors
-        else:
-            table, other = self.es_neighbors, self.is_neighbors
+        table = self.is_neighbors if kind is _IS else self.es_neighbors
         pool = self._pool
         if now != pool.now:  # every insert at virtual time t has now = t
             pool.clear()
             pool.now = now
         replaced = address in table
         table[address] = pool[kind, address, snpa, expiry]
-        if replaced:
-            return _REPLACED
-        if address in other:
-            self._second[address] = kind
-        return _INSERTED
+        return _REPLACED if replaced else _INSERTED
 
     def lookup(self, address: bytes, now: int) -> RibEntry | None:
-        """First inserted live entry for the address, of either kind."""
-        es = self.es_neighbors.get(address)
-        is_ = self.is_neighbors.get(address)
-        if es is None or es.expiry <= now:
-            return is_ if is_ is not None and is_.expiry > now else None
-        if is_ is None or is_.expiry <= now:
-            return es
-        return es if self._second[address] is _IS else is_
+        """The live ES entry for the address, else its live IS entry, as `next_hop` reads."""
+        e = self.es_neighbors.get(address)
+        if e is None or e.expiry <= now:
+            e = self.is_neighbors.get(address)
+        return e if e is not None and e.expiry > now else None
 
     def lookup_redirect(self, destination: bytes, now: int) -> RedirectEntry | None:
         r = self.redirects.get(destination)
@@ -194,8 +167,6 @@ class Rib:
             removed += len(dead)
             bound = min(bound, min((e.expiry for e in table.values()), default=bound))
         self._next_expiry = bound
-        if self._second:  # bound it by the ES table; a later insert rewrites a stale kind
-            self._second = {a: k for a, k in self._second.items() if a in self.es_neighbors}
         return removed
 
     def record_redirect(self, destination: bytes, better_snpa: bytes,
@@ -209,17 +180,13 @@ class Rib:
                                                     redirect_net, expiry, holding_time)
         return _REPLACED if replaced else _INSERTED
 
-    def refresh_redirect(self, destination: bytes, observed_snpa: bytes,
-                         now: int, holding_time: int) -> bool:
-        """Extend a redirect, as a new entry, only when traffic came over the same SNPA."""
+    def refresh_redirect(self, destination: bytes, observed_snpa: bytes, now: int) -> bool:
+        """Re-record a live redirect at its own holding time if traffic came over its SNPA."""
         r = self.redirects.get(destination)
-        if r is not None and r.better_snpa == observed_snpa:
-            r = self.redirects[destination] = RedirectEntry(
-                destination, observed_snpa, r.redirect_net, now + holding_time, r.holding_time)
-            if r.expiry < self._next_expiry:
-                self._next_expiry = r.expiry
-            return True
-        return False
+        if r is None or r.expiry <= now or r.better_snpa != observed_snpa:
+            return False
+        self.record_redirect(destination, observed_snpa, r.redirect_net, r.holding_time, now)
+        return True
 
     def next_hop(self, destination: bytes, now: int) -> NextHop:
         """Redirect first, then direct ES neighbor, then any live IS."""
@@ -243,4 +210,5 @@ class Rib:
 
     def dump(self, now: int) -> list[str]:
         """Live entries, sections ES / IS / RD, each in insertion order."""
-        return [e.line for e in chain(self.entries, self.redirects.values()) if e.expiry > now]
+        return [e.line for e in chain(self.es_neighbors.values(), self.is_neighbors.values(),
+                                      self.redirects.values()) if e.expiry > now]

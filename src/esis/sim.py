@@ -150,11 +150,12 @@ class Simulator:
         if ordinal in self.faults.corruptions:
             idx, val = self.faults.corruptions[ordinal]
             octets = bytearray(payload)
-            if idx is None:
+            if idx is None and octets:
                 idx = self.rng.randrange(len(octets))
-            if not 0 <= idx < len(octets):
-                raise ValueError(f"corrupt rule for frame {ordinal}: octet index {idx} "
-                                 f"is outside its {len(octets)}-octet payload")
+            if idx is None or not 0 <= idx < len(octets):
+                raise ValueError(f"corrupt rule for frame {ordinal}: octet index "
+                                 f"{'random' if idx is None else idx} is outside its "
+                                 f"{len(octets)}-octet payload")
             if val is None:
                 # Guaranteed to differ from the original octet.
                 val = (octets[idx] + self.rng.randrange(1, 256)) % 256

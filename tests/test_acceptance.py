@@ -234,13 +234,14 @@ def test_criterion_11_rib_model_equivalence():
             assert rib.insert_entry(kind, a, s, holding, now) is want
         elif op == 1:
             a = rng.choice(addrs)
-            live = [(s, e) for (k, x), (s, e) in model.items()
-                    if x == a and e > now]
+            # The live ES entry, else the live IS entry, as next_hop reads them.
+            live = [(k, *model[k, a]) for k in (EntryKind.ES_NEIGHBOR, EntryKind.IS_NEIGHBOR)
+                    if (k, a) in model and model[k, a][1] > now]
             got = rib.lookup(a, now)
             if not live:
                 assert got is None
             else:
-                assert (got.snpa, got.expiry) == live[0]
+                assert (got.kind, got.snpa, got.expiry) == live[0]
         else:
             dead = [k for k, (_, e) in model.items() if e <= now]
             for k in dead:

@@ -47,6 +47,16 @@ def test_craft_decode_roundtrip(capsys):
     assert "checksum_verdict  VALID" in out
 
 
+def test_python_dash_m_esis_runs_the_cli(capsys):
+    code, out, _ = run_cli(capsys, "craft", "--type", "esh", "--addr", NSAP_HEX)
+    assert code == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "esis", "decode"], input=out,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "OK ESH" in proc.stdout
+
+
 def run_cli_with_stdin(capsys, text, *argv, monkeypatch=None):
     import io
     import sys

@@ -19,6 +19,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from esis.engine import Role
 from esis.scenario import build_simulator, parse_scenario
 
 SNPAS = [f"02000000000{i}" for i in range(1, 7)]
@@ -100,8 +101,12 @@ def test_generated_scenarios_keep_the_simulator_invariants(first, second):
     wanted = [alone, run_alone(second)]
     parsed = [parse_scenario(text) for text in (first, second)]
     sims = [build_simulator(sc) for sc in parsed]
+    # An IS takes no ISH into its RIB, at any virtual second.
+    is_ribs = [sim.node(d.name).rib for sc, sim in zip(parsed, sims) for d in sc.nodes
+               if d.config.role is Role.INTERMEDIATE_SYSTEM]
     for t in range(max(sc.until for sc in parsed) + 1):
         for sc, sim in zip(parsed, sims):
             if t <= sc.until:
                 sim.run_until(t)
+        assert not any(rib.is_neighbors for rib in is_ribs), t
     assert [(sim.log, sim.dump_ribs(sc.until)) for sc, sim in zip(parsed, sims)] == wanted

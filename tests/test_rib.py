@@ -57,11 +57,24 @@ def test_redirect_upsert_and_refresh():
     assert rib.next_hop(D, 10) == rib.next_hop(D, 10)
     assert rib.next_hop(D, 10).snpa == S2
 
-    assert rib.refresh_redirect(D, S2, 90, 60) is True
-    assert rib.lookup_redirect(D, 90).expiry == 150
+    # A refresh re-arms the redirect at its own holding time.
+    assert rib.refresh_redirect(D, S2, 30) is True
+    assert rib.lookup_redirect(D, 30).expiry == 90
     # SNPA mismatch is not the same path
-    assert rib.refresh_redirect(D, S3, 90, 60) is False
-    assert rib.refresh_redirect(B, S2, 90, 60) is False
+    assert rib.refresh_redirect(D, S3, 40) is False
+    assert rib.refresh_redirect(B, S2, 40) is False
+    assert rib.lookup_redirect(D, 40).expiry == 90
+
+
+def test_refresh_of_an_expired_unflushed_redirect_is_refused():
+    rib = Rib()
+    rib.record_redirect(D, S1, None, 10, 0)
+    assert rib.refresh_redirect(D, S1, 10) is False
+    assert rib.lookup_redirect(D, 10) is None
+    assert rib.redirects[D].expiry == 10
+    assert rib.flush_expired(10) == 1
+    assert rib.refresh_redirect(D, S1, 10) is False
+    assert rib.redirects == {}
 
 
 def test_next_hop_precedence():
@@ -125,23 +138,28 @@ class MapModel:
         return InsertResult.REPLACED if existed else InsertResult.INSERTED
 
     def lookup(self, address, now):
-        live = [(s, e) for (k, a), (s, e) in self.entries.items()
-                if a == address and e > now]
-        return live[0] if live else None
+        """The live ES entry, else the live IS entry, as (kind, snpa, expiry)."""
+        for kind in (EntryKind.ES_NEIGHBOR, EntryKind.IS_NEIGHBOR):
+            snpa, expiry = self.entries.get((kind, address), (None, 0))
+            if expiry > now:
+                return kind, snpa, expiry
+        return None
 
     def record_redirect(self, destination, snpa, holding, now):
         existed = destination in self.redirects
-        self.redirects[destination] = (snpa, now + holding)
+        self.redirects[destination] = (snpa, now + holding, holding)
         return InsertResult.REPLACED if existed else InsertResult.INSERTED
 
-    def refresh_redirect(self, destination, snpa, now, holding):
-        if destination not in self.redirects or self.redirects[destination][0] != snpa:
+    def refresh_redirect(self, destination, snpa, now):
+        """A live redirect over `snpa` is re-armed at its own holding time."""
+        held, expiry, holding = self.redirects.get(destination, (None, 0, 0))
+        if held != snpa or expiry <= now:
             return False
-        self.redirects[destination] = (snpa, now + holding)
+        self.redirects[destination] = (snpa, now + holding, holding)
         return True
 
     def next_hop(self, destination, now):
-        snpa, expiry = self.redirects.get(destination, (None, 0))
+        snpa, expiry, _ = self.redirects.get(destination, (None, 0, 0))
         if expiry > now:
             return HopKind.DIRECT, snpa
         snpa, expiry = self.entries.get((EntryKind.ES_NEIGHBOR, destination), (None, 0))
@@ -160,13 +178,13 @@ class MapModel:
                  for kind in EntryKind
                  for (k, a), (s, e) in self.entries.items() if k is kind and e > now]
         return lines + [f"RD {d.hex()} -> {s.hex()} expires {e}"
-                        for d, (s, e) in self.redirects.items() if e > now]
+                        for d, (s, e, _) in self.redirects.items() if e > now]
 
     def flush(self, now):
         dead = [k for k, (_, e) in self.entries.items() if e <= now]
         for k in dead:
             del self.entries[k]
-        gone = [d for d, (_, e) in self.redirects.items() if e <= now]
+        gone = [d for d, (_, e, _) in self.redirects.items() if e <= now]
         for d in gone:
             del self.redirects[d]
         return len(dead) + len(gone)
@@ -187,8 +205,8 @@ def test_model_equivalence_random_ops():
         op = rng.randrange(8)
         i = rng.randrange(2)
         rib, model = ribs[i], models[i]
-        # Holding times are drawn afresh, so about half of all refreshes
-        # move an expiry earlier.
+        # Holding times are drawn afresh, so about half of all replacing
+        # inserts and redirects move an expiry earlier.
         holding = rng.randint(1, 30)
         a, s = rng.choice(addrs), rng.choice(snpas)
         if op == 0:
@@ -197,19 +215,19 @@ def test_model_equivalence_random_ops():
                 assert (ribs[j].insert_entry(kind, a, s, holding, now)
                         == models[j].insert(kind, a, s, holding, now))
         elif op == 1:
-            got = rib.lookup(a, now)
-            want = model.lookup(a, now)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert (got.snpa, got.expiry) == want
+            # Every address, so that some lookups meet both kinds live.
+            for x in addrs:
+                got, want = rib.lookup(x, now), model.lookup(x, now)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert (got.kind, got.snpa, got.expiry) == want
         elif op == 2:
             assert rib.flush_expired(now) == model.flush(now)
         elif op == 3:
             assert (rib.record_redirect(a, s, None, holding, now)
                     == model.record_redirect(a, s, holding, now))
         elif op == 4:
-            assert (rib.refresh_redirect(a, s, now, holding)
-                    == model.refresh_redirect(a, s, now, holding))
+            assert rib.refresh_redirect(a, s, now) == model.refresh_redirect(a, s, now)
         elif op == 5:
             hop = rib.next_hop(a, now)
             assert (hop.kind, hop.snpa) == model.next_hop(a, now)
@@ -224,21 +242,24 @@ def test_model_equivalence_random_ops():
     assert shared, "no entry ended up shared"
 
 
-def test_lookup_of_address_held_under_both_kinds_returns_first_inserted():
-    for first, second in ((EntryKind.ES_NEIGHBOR, EntryKind.IS_NEIGHBOR),
-                          (EntryKind.IS_NEIGHBOR, EntryKind.ES_NEIGHBOR)):
+def test_lookup_of_address_held_under_both_kinds_returns_its_live_es_entry():
+    ES, IS = EntryKind.ES_NEIGHBOR, EntryKind.IS_NEIGHBOR
+    # next_hop's precedence, whichever kind was inserted first.
+    for order in ((ES, IS), (IS, ES)):
         rib = Rib()
-        rib.insert_entry(first, A, S1, 60, 0)
-        rib.insert_entry(second, A, S2, 30, 0)
-        assert rib.lookup(A, 0).kind is first and rib.lookup(A, 0).snpa == S1
-        # A refresh keeps the entry's place; an expired first entry yields.
-        rib.insert_entry(second, A, S2, 90, 10)
-        assert rib.lookup(A, 10).kind is first
-        assert rib.lookup(A, 60).kind is second
-        # Flushed and learned again, the first kind now comes second.
-        rib.flush_expired(60)
-        rib.insert_entry(first, A, S3, 60, 60)
-        assert rib.lookup(A, 60).kind is second
+        for kind in order:
+            rib.insert_entry(kind, A, S1 if kind is ES else S2, 30 if kind is ES else 60, 0)
+        got = rib.lookup(A, 0)
+        assert (got.kind, got.snpa, got.expiry) == (ES, S1, 30)
+        # The ES entry expired, then flushed: the live IS entry answers.
+        assert (rib.lookup(A, 30).kind, rib.lookup(A, 30).snpa) == (IS, S2)
+        assert rib.flush_expired(30) == 1
+        assert (rib.lookup(A, 30).kind, rib.lookup(A, 30).snpa) == (IS, S2)
+        # Learned again after the IS entry, the ES entry comes first again.
+        rib.insert_entry(ES, A, S3, 60, 30)
+        assert (rib.lookup(A, 30).kind, rib.lookup(A, 30).snpa) == (ES, S3)
+        assert rib.lookup(A, 60).kind is ES  # the IS entry expires at 60
+        assert rib.lookup(A, 90) is None
 
 
 def test_entry_replaced_with_shorter_holding_time_is_flushed_at_new_expiry():
@@ -258,11 +279,11 @@ def test_redirect_with_shorter_holding_time_is_flushed_at_new_expiry():
     rib.record_redirect(D, S2, None, 5, 10)  # now expires at 15
     assert rib.flush_expired(15) == 1
     assert rib.redirects == {}
-    # A refresh with a shorter holding time moves the expiry down as well.
-    rib.record_redirect(D, S1, None, 100, 20)
+    # A refresh re-arms at the redirect's own holding time.
+    rib.record_redirect(D, S1, None, 10, 20)  # expires at 30
+    assert rib.refresh_redirect(D, S1, 25)  # now expires at 35
     assert rib.flush_expired(30) == 0
-    assert rib.refresh_redirect(D, S1, 30, 10)  # now expires at 40
-    assert rib.flush_expired(40) == 1
+    assert rib.flush_expired(35) == 1
 
 
 def test_standalone_rib_pool_holds_one_time_steps_inserts():

@@ -1,6 +1,7 @@
 """Every shipped scenario's `esis run --dump-ribs` output, to stdout and to a
 `--log` file, is byte for byte the one recorded in bench/digests.json (which
-this test only reads), whatever the interpreter's hash seed."""
+this test only reads), whatever the interpreter's hash seed; and no IS in a
+shipped scenario ever holds an IS entry."""
 
 import hashlib
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from esis.cli import main
+from esis.engine import Role
+from esis.scenario import build_simulator, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.scn"))
@@ -48,3 +51,16 @@ def test_shipped_scenario_output_does_not_depend_on_the_hash_seed(path):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0]).hexdigest() == SHIPPED[path.name]
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_no_is_ever_holds_an_is_entry(path):
+    # An IS takes no ISH into its RIB, so `Rib.lookup`, which the IS alone
+    # calls, never meets an address held under both kinds.
+    sc = load_scenario(str(path))
+    sim = build_simulator(sc)
+    ribs = [sim.node(d.name).rib for d in sc.nodes if d.config.role is Role.INTERMEDIATE_SYSTEM]
+    assert ribs
+    for t in range(sc.until + 1):
+        sim.run_until(t)
+        assert not any(rib.is_neighbors for rib in ribs), t

@@ -160,6 +160,14 @@ def test_corruption_index_past_payload_raises():
         sim.transmit(Frame(S2, S1, b"\x55\x66"), 0, "ES1")
 
 
+@pytest.mark.parametrize("index", [0, None], ids=["fixed", "random"])
+def test_corruption_of_an_empty_payload_raises_naming_the_frame(index):
+    # A random index once reached `randrange(0)` and its "empty range" error.
+    sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={1: (index, None)}))
+    with pytest.raises(ValueError, match=r"frame 1: octet index \S+ is outside its 0-octet"):
+        sim.transmit(Frame(ALL_IS, S1, b""), 0, "ES1")
+
+
 def test_transmit_rejects_a_source_that_is_not_an_snpa():
     # A 1-octet source once reached the IS's RIB as `ES 4902… via 01`, and a
     # CLNP frame to that ES then made the IS build an RD that encode refused.
