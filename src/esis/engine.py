@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 from . import pdu as pdu_mod
 from .checksum import generate_checksum
-from .pdu import (AaBody, DiscardReason, EshBody, IshBody, LENIENT, NLPID_CLNP,
+from .pdu import (AaBody, DiscardReason, EshBody, FIXED_LEN, IshBody, LENIENT, NLPID_CLNP,
                   NLPID_ESIS, OptionCode, Part, Pdu, ProtocolDetail, RaBody, RdBody,
-                  SNPA_LEN, ValidationProfile, protocol_error)
+                  SNPA_LEN, ValidationProfile, address_fault, protocol_error)
 from .rib import EntryKind, EntryPool, InsertResult, RedirectEntry, Rib, RibEntry
 
 ALL_ES = bytes.fromhex("09002b000004")
@@ -78,10 +78,9 @@ def decode_clnp(payload: bytes) -> MinimalClnpPdu | None:
 def decode_payload(payload: bytes, profile: ValidationProfile
                    ) -> Pdu | DiscardReason | MinimalClnpPdu | None:
     """An ES-IS PDU or its discard reason, a stub CLNP PDU, or None to ignore."""
-    nlpid = payload[0] if payload else None
-    if nlpid == NLPID_ESIS:
+    if payload and payload[0] == NLPID_ESIS:
         return pdu_mod.decode(payload, profile)
-    return decode_clnp(payload) if nlpid == NLPID_CLNP else None
+    return decode_clnp(payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,6 +128,7 @@ EngineEvent = (SendFrame | RibEntry | RedirectEntry | DiscardReason | AddressAss
 
 _ROLE_MISMATCH = protocol_error(ProtocolDetail.ROLE_MISMATCH)
 _ESCT = OptionCode.ESCT
+_NSAP = Part.NSAP
 _INTERMEDIATE_SYSTEM = Role.INTERMEDIATE_SYSTEM
 _ES_NEIGHBOR, _IS_NEIGHBOR = EntryKind
 _INSERTED = InsertResult.INSERTED
@@ -144,6 +144,19 @@ class Node:
             raise ValueError("holding multiplier must be ≥ 2")
         if config.configuration_timer <= 0:
             raise ValueError("configuration timer must be > 0")
+        # A node must be able to send its hello, so its addresses pass the
+        # codec's rules and its ESH (the fixed part, a count octet, then
+        # {length, NSAP} each) fits the length indicator's 255 octets.
+        if len(config.snpa) != SNPA_LEN:
+            raise ValueError(f"snpa must be {SNPA_LEN} octets, got {config.snpa.hex()!r}")
+        nsaps = config.local_nsaps
+        for addr in nsaps if config.local_net is None else (*nsaps, config.local_net):
+            if address_fault(_NSAP, addr, LENIENT) is not None:
+                raise ValueError(f"a local NSAP or NET must be {_NSAP.value}, got {addr.hex()!r}")
+        esh_length = FIXED_LEN + 1 + len(nsaps) + sum(map(len, nsaps))
+        if esh_length > 255:
+            raise ValueError(f"an ESH of {len(nsaps)} NSAPs would be {esh_length} octets, "
+                             "over 255")
         self.config = config
         self.rib = Rib(pool)
         self.ct = config.configuration_timer

@@ -29,7 +29,9 @@ may stand only between whole octets.
 
 `at` values are parsed once per distinct token per parse and then shared:
 one `int` per time token, one `bytes` per NSAP token, the node's declared
-name, an interned kind. `build_simulator` injects the actions in file order.
+name, an interned kind. `build_simulator` injects the actions in file order
+and reports a node that `Node` refuses, such as one whose ESH would pass 255
+octets, as a `ScenarioError` at its line.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class NodeDecl:
     name: str
     config: NodeConfig
     start: int = 0
+    lineno: int = 0  # the node line, which a refusal by `Node` names
 
 
 @dataclass(slots=True)
@@ -186,7 +189,7 @@ def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
                         configuration_timer=values.get("ct", 30),
                         holding_multiplier=values.get("multiplier", 2),
                         validation_profile=profile)
-    nodes[name] = NodeDecl(name, config, values.get("start", 0))
+    nodes[name] = NodeDecl(name, config, values.get("start", 0), lineno)
 
 
 def _parse_forward(lineno: int, args: list[str], nodes: dict[str, NodeDecl]) -> None:
@@ -288,7 +291,10 @@ def load_scenario(path: str) -> Scenario:
 def build_simulator(sc: Scenario) -> Simulator:
     sim = Simulator(latency=sc.latency, seed=sc.seed, faults=sc.faults)
     for decl in sc.nodes:
-        sim.add_node(decl.name, decl.config, start=decl.start)
+        try:
+            sim.add_node(decl.name, decl.config, start=decl.start)
+        except ValueError as exc:  # a rule `Node` owns, such as its ESH's length
+            raise ScenarioError(decl.lineno, f"node {decl.name}: {exc}") from None
     for action in sc.actions:
         if action.kind == "sendclnp":
             sim.inject_clnp(action.at, action.node, action.source_nsap, action.dest_nsap)

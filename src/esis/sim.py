@@ -5,19 +5,20 @@ per virtual time, in the order they were scheduled, under a heap of those
 times; an event for the time being run starts a new list that runs next.
 Each entry carries the method that runs it, its target and one argument. A
 delivery map takes each destination SNPA that `Node.listens_to` names to its
-receivers in add order. A frame that someone other than its sender listens
-for is one event, holding a tuple of its destination's receivers copied at
-`transmit`, that delivers to them in that order and skips the sender by
-name; a frame only its sender hears schedules nothing. Each receiver acts
-through `Node.handle_pdu` on the decode of the payload under its validation
-profile, read when the node is added, as the role and SNPA that place it in
-the delivery map are. A simulator decodes each distinct (payload, profile
-value) pair once. The simulator owns the `EntryPool` of every node's RIB, so
-the receivers of a hello share one frozen RIB entry, rendered once, and the
-pool holds one time step's entries. A RIB event is the entry itself, and one
-renderer logs either entry class by its `line`. Time never runs backwards:
-scheduling before `now` is an error. The log is a pure function of the
-scenario and seed.
+receivers in add order. A frame to a destination with receivers is one
+event, holding a tuple of them copied at `transmit`, that delivers to them
+in that order. The delivery skips the sender by name, and nothing else tests
+the sender, so a frame only its sender hears queues a delivery that logs
+nothing. Each receiver acts through `Node.handle_pdu` on the decode of the
+payload in its own table, that of its validation profile, found when the
+node is added, as the role and SNPA that place it in the delivery map are. A
+simulator decodes each distinct (payload, profile value) pair once. The
+simulator owns the `EntryPool` of every node's RIB, so the receivers of a
+hello share one frozen RIB entry, rendered once, and the pool holds one time
+step's entries. A RIB event is the entry itself, and one renderer logs
+either entry class by its `line`. Time never runs backwards: a negative
+latency is refused, and scheduling before `now` is an error. The log is a
+pure function of the scenario and seed.
 `Simulator.log` is a list, but only its `append` is ever called, so any
 object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
@@ -72,6 +73,8 @@ class _SimNode:
 class Simulator:
     def __init__(self, latency: int = 1, seed: int = 0,
                  faults: FaultPlan | None = None) -> None:
+        if latency < 0:
+            raise ValueError(f"latency must be ≥ 0, got {latency}")
         self.latency = latency
         self.rng = random.Random(seed)
         self.faults = faults or FaultPlan()
@@ -149,26 +152,23 @@ class Simulator:
         ordinal = self._tx_count
         if ordinal in self.faults.corruptions:
             idx, val = self.faults.corruptions[ordinal]
-            octets = bytearray(payload)
-            if idx is None and octets:
-                idx = self.rng.randrange(len(octets))
-            if idx is None or not 0 <= idx < len(octets):
+            if idx is None and payload:
+                idx = self.rng.randrange(len(payload))
+            if idx is None or not 0 <= idx < len(payload):
                 raise ValueError(f"corrupt rule for frame {ordinal}: octet index "
                                  f"{'random' if idx is None else idx} is outside its "
-                                 f"{len(octets)}-octet payload")
+                                 f"{len(payload)}-octet payload")
             if val is None:
                 # Guaranteed to differ from the original octet.
-                val = (octets[idx] + self.rng.randrange(1, 256)) % 256
-            octets[idx] = val
-            payload = bytes(octets)
+                val = (payload[idx] + self.rng.randrange(1, 256)) % 256
+            payload = payload[:idx] + bytes((val,)) + payload[idx + 1:]
         payload_hex = payload.hex()
         self.log.append(f"t={now} node={sender} SEND dst={destination.hex()} "
                         f"payload={payload_hex}")
         if ordinal in self.faults.drops:
             return
-        # Node names are unique, so this is "someone but the sender listens".
-        group = self._groups.get(destination, ())
-        if len(group) > 1 or group and group[0].name != sender:
+        group = self._groups.get(destination)
+        if group:
             self._schedule(now + self.latency, Simulator._deliver, tuple(group),
                            (source, payload, sender,
                             f" RECV src={source.hex()} payload={payload_hex}"))
@@ -190,7 +190,7 @@ class Simulator:
         return self.log
 
     def _fire_timer(self, sn: _SimNode, token: int, at: int) -> None:
-        if not sn.down and token == sn.timer_token:
+        if token == sn.timer_token:
             for ev in sn.node.on_config_timer(at):
                 _ON_EVENT[type(ev)](self, sn, ev, at)
 
@@ -198,21 +198,17 @@ class Simulator:
         """Hand the frame's source and payload, from `delivery`, to each
         receiver in add order that is up and is not the frame's sender.
 
-        A receiver holds its profile's table of `_decoded`, found by value
-        when it was added, so equal but distinct profiles share decodes. When
-        its table is not the last receiver's, the decode is looked up by the
-        payload alone and made only for a payload not seen before. Decode
-        results are frozen, so receivers and later frames share them.
+        Each receiver reads the decode from its own table, its profile's in
+        `_decoded`, found by value when it was added, so equal but distinct
+        profiles share decodes. The table is keyed on the payload alone and
+        decodes only a payload not seen before. Decode results are frozen,
+        so receivers and later frames share them.
         """
         source, payload, sender, recv = delivery
-        table = decoded = None  # the last decode and the table it came from
         for sn in receivers:
             if not sn.down and sn.name != sender:
                 self.log.append(f"t={at} node={sn.name}{recv}")
-                if sn.decodes is not table:
-                    table = sn.decodes
-                    decoded = table[payload]
-                for ev in sn.node.handle_pdu(decoded, source, at):
+                for ev in sn.node.handle_pdu(sn.decodes[payload], source, at):
                     _ON_EVENT[type(ev)](self, sn, ev, at)
 
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:

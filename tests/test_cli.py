@@ -447,6 +447,9 @@ def test_fixed_fields_follow_the_wire_layout():
      "line 1: net must be an NSAP of length 1..20, got ''"),
     (f"node A role=es snpa=020000000001\nat 1 sendclnp A 4900 {LONG_NSAP_HEX}\n", [],
      f"line 2: destination nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+    # Past the parser, but its ESH would not fit: once an empty log and an error at t=0.
+    ("seed 1\nnode A role=es snpa=020000000001 " + f"nsap={NSAP_HEX} " * 12 + "\n", [],
+     "line 2: node A: an ESH of 12 NSAPs would be 262 octets, over 255"),
 ])
 def test_run_rejected_before_output_opens_no_log(capsys, tmp_path, scenario, argv, msg):
     scn = tmp_path / "s.scn"

@@ -1,4 +1,5 @@
 import random
+import re
 import typing
 from dataclasses import FrozenInstanceError
 
@@ -50,6 +51,33 @@ def frame_with(pdu: Pdu, source: bytes, dest: bytes = None) -> Frame:
 def test_is_config_requires_net():
     with pytest.raises(ValueError):
         Node(NodeConfig(role=Role.INTERMEDIATE_SYSTEM, snpa=IS_SNPA))
+
+
+TWELVE_LONG_NSAPS = tuple(bytes([0x49, i]) + bytes(18) for i in range(12))
+
+
+@pytest.mark.parametrize("kw, msg", [
+    (dict(snpa=ES_SNPA[:5]), "snpa must be 6 octets, got '0200000000'"),
+    (dict(local_nsaps=(ES_NSAP, b"")),
+     "a local NSAP or NET must be an NSAP of length 1..20, got ''"),
+    (dict(role=Role.INTERMEDIATE_SYSTEM, local_nsaps=(), local_net=bytes(21)),
+     "a local NSAP or NET must be an NSAP of length 1..20, got '" + "00" * 21 + "'"),
+    # The fixed part, a count octet and 12 {length, NSAP} fields of 21 octets.
+    (dict(local_nsaps=TWELVE_LONG_NSAPS), "an ESH of 12 NSAPs would be 262 octets, over 255"),
+    (dict(holding_multiplier=1), "holding multiplier must be ≥ 2"),
+    (dict(configuration_timer=0), "configuration timer must be > 0"),
+], ids=["5-octet-snpa", "empty-nsap", "21-octet-net", "262-octet-esh", "multiplier-1",
+        "ct-0"])
+def test_node_refuses_a_config_it_cannot_run(kw, msg):
+    config = dict(role=Role.END_SYSTEM, snpa=ES_SNPA, local_nsaps=(ES_NSAP,)) | kw
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        Node(NodeConfig(**config))
+
+
+def test_node_whose_esh_is_255_octets_sends_it():
+    nsaps = TWELVE_LONG_NSAPS[:11] + (b"\x49" * 13,)  # 9 + 1 + 11 * 21 + 14
+    (p, frame), _ = sent_pdus(make_es(local_nsaps=nsaps).on_config_timer(0))
+    assert len(frame.payload) == 255 and p.body.source_addresses == nsaps
 
 
 def test_is_timer_emits_ish_with_holding():

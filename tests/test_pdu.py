@@ -62,6 +62,7 @@ def test_rd_with_empty_net():
     (Pdu(RaBody(), options=(Option(OptionCode.PRIORITY, b"\x01"),
                             Option(OptionCode.PRIORITY, b"\x01"))), "duplicate"),
     (Pdu(EshBody(tuple(bytes([i]) * 20 for i in range(12)))), "exceeds 255"),
+    (Pdu(EshBody((b"\x49",) * 256)), "too many source addresses"),
 ])
 def test_encode_invariant_violations(pdu, msg):
     with pytest.raises(InvariantViolation, match=msg):
@@ -69,6 +70,13 @@ def test_encode_invariant_violations(pdu, msg):
 
 
 # Decoding pipeline ---------------------------------------------------------
+
+def test_esh_whose_header_ends_before_its_count_octet_is_truncated():
+    # A checksummed ESH fixed part whose length indicator leaves no count octet.
+    header = generate_checksum(bytes([0x82, 9, 1, 0, PduType.ESH, 0, 20, 0, 0]))
+    assert decode(header) == DiscardReason(DiscardKind.PROTOCOL_ERROR,
+                                           ProtocolDetail.TRUNCATED_PDU)
+
 
 def test_roundtrip_simple():
     p = Pdu(EshBody((NSAP,)), holding_time=300,

@@ -79,18 +79,19 @@ def test_node_added_after_transmit_does_not_receive_that_frame():
 
 
 @pytest.mark.parametrize("latency", [1, -1])
-def test_frame_only_its_sender_hears_schedules_nothing(latency, monkeypatch):
-    # No delivery event, so a latency that would put it in the past raises nothing.
+def test_frame_only_its_sender_hears_logs_only_its_send(latency):
+    # Such a frame queues a delivery that skips its sender. A latency that
+    # would queue it in the past is refused before any frame is sent.
+    if latency < 0:
+        with pytest.raises(ValueError, match="latency must be ≥ 0, got -1"):
+            Simulator(latency=latency)
+        return
     sim = Simulator(latency=latency)
     sim.add_node("ES1", es_config(S1, NSAP1), start=1000)
     sim.add_node("IS1", is_config(S3), start=1000)
-    scheduled, schedule = [], Simulator._schedule
-    monkeypatch.setattr(Simulator, "_schedule", lambda self, at, run, *rest: (
-        scheduled.append(run), schedule(self, at, run, *rest)))
     for destination in (ALL_ES, S1):
         sim.transmit(Frame(destination, S1, b"\x55"), 0, "ES1")
-    assert scheduled == []
-    assert [l.split()[2] for l in sim.log] == ["SEND", "SEND"]
+    assert [l.split()[2] for l in sim.run_until(5)] == ["SEND", "SEND"]
 
 
 def test_unicast_to_unknown_snpa_reaches_nobody():
@@ -294,10 +295,17 @@ def test_scheduling_before_now_rejected():
 
 
 def test_negative_latency_cannot_run_time_backwards():
-    sim = three_node_sim(latency=-3)
-    with pytest.raises(ValueError, match="before now"):
-        sim.run_until(5)
-    assert sim.now == 0
+    # Refused when the simulator is built, before any SEND line is logged.
+    with pytest.raises(ValueError, match="latency must be ≥ 0, got -3"):
+        three_node_sim(latency=-3)
+
+
+def test_add_node_refuses_a_node_that_cannot_send_its_hello():
+    # A 5-octet SNPA once stopped the run at the node's first hello.
+    sim = Simulator()
+    with pytest.raises(ValueError, match="snpa must be 6 octets, got '0200000000'"):
+        sim.add_node("ES1", es_config(S1[:5], NSAP1))
+    assert sim.nodes == {} and sim.run_until(100) == []
 
 
 def test_zero_latency_reply_runs_after_deliveries_queued_for_its_time():
