@@ -2,7 +2,7 @@
 
 An engine is a pure state machine: timer fires and received frames go in,
 EngineEvent values come out, each the value it reports: a RIB change is the
-frozen entry the RIB now holds, a discard its `DiscardReason`. All I/O is
+RIB value the table now holds, a discard its `DiscardReason`. All I/O is
 the simulator's. Input is two steps: `decode_payload` reads a payload under
 a validation profile, and `Node.handle_pdu` acts on what it read, so one
 decode can serve every receiver that shares the profile.
@@ -41,8 +41,9 @@ class Role(enum.Enum):
     INTERMEDIATE_SYSTEM = "is"
 
 
-# Values built per frame or event are NamedTuples: hashed and compared in C, and
-# built in C on the frame path by `_new`, past each class's Python-level __new__.
+# Every value built per frame or event, here or in the RIB, is a NamedTuple:
+# hashed and compared in C, and built in C by `_new`, past each class's
+# Python-level __new__.
 _new = tuple.__new__
 
 
@@ -108,13 +109,11 @@ class SendFrame(NamedTuple):
     frame: Frame
 
 
-@dataclass(frozen=True, slots=True)
-class AddressAssigned:
+class AddressAssigned(NamedTuple):
     net: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class RedirectIssued:
+class RedirectIssued(NamedTuple):
     destination: bytes
     snpa: bytes
 
@@ -128,7 +127,7 @@ EngineEvent = (SendFrame | RibEntry | RedirectEntry | DiscardReason | AddressAss
 
 _ROLE_MISMATCH = protocol_error(ProtocolDetail.ROLE_MISMATCH)
 _ESCT = OptionCode.ESCT
-_NSAP = Part.NSAP
+_NSAP, _NSAP_OR_EMPTY = Part.NSAP, Part.NSAP_OR_EMPTY
 _INTERMEDIATE_SYSTEM = Role.INTERMEDIATE_SYSTEM
 _ES_NEIGHBOR, _IS_NEIGHBOR = EntryKind
 _INSERTED = InsertResult.INSERTED
@@ -157,6 +156,14 @@ class Node:
         if esh_length > 255:
             raise ValueError(f"an ESH of {len(nsaps)} NSAPs would be {esh_length} octets, "
                              "over 255")
+        # Nor may an IS hold a forwarding entry it could not put in an RD.
+        for fe in config.forwarding_table:
+            if len(fe.next_is_snpa) != SNPA_LEN:
+                raise ValueError(f"a forwarding SNPA must be {SNPA_LEN} octets, "
+                                 f"got {fe.next_is_snpa.hex()!r}")
+            if address_fault(_NSAP_OR_EMPTY, fe.next_is_net, LENIENT) is not None:
+                raise ValueError(f"a forwarding NET must be {_NSAP_OR_EMPTY.value}, "
+                                 f"got {fe.next_is_net.hex()!r}")
         self.config = config
         self.rib = Rib(pool)
         self.ct = config.configuration_timer
@@ -284,7 +291,7 @@ class Node:
     def handle_aa(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         body: AaBody = p.body
         self.acquired_net = body.net
-        return [AddressAssigned(body.net)]
+        return [_new(AddressAssigned, (body.net,))]
 
     def handle_rd(self, p: Pdu, source_snpa: bytes, now: int) -> list[EngineEvent]:
         body: RdBody = p.body
@@ -304,7 +311,7 @@ class Node:
                 return []
             forward_to, net = match.next_is_snpa, match.next_is_net
         payload = encode_clnp(clnp.source, clnp.destination)
-        return [RedirectIssued(clnp.destination, forward_to),
+        return [_new(RedirectIssued, (clnp.destination, forward_to)),
                 self._send(source_snpa, self.holding_time, RdBody, clnp.destination,
                            forward_to, net),
                 _new(SendFrame, (_new(Frame, (forward_to, self.config.snpa, payload)),))]

@@ -6,16 +6,18 @@ keyed on destination. A dict keeps insertion order and a replaced key
 keeps its place, so each dump section and "most recently first-inserted
 live IS" read straight off a table. An address held under both kinds reads
 as its live ES entry first, in `lookup` as in `next_hop`.
-Every RIB value, a `RibEntry` or a `RedirectEntry`, is frozen, renders its
-dump line into `line` once when built, and is replaced, never changed, so
-the engine reports a RIB change as the value itself. Neighbor entries are
-interned on (kind, address, SNPA, expiry) in an `EntryPool`: a simulator
-owns one for every node's RIB, so the receivers of a hello share one entry,
-a RIB built alone makes its own, and a pool holds one virtual time's entries.
+Every RIB value, a `RibEntry` or a `RedirectEntry`, is a NamedTuple built
+in C whose last field, `line`, is its dump line, rendered once when built;
+it is replaced, never changed, so the engine reports a RIB change as the
+value itself. Neighbor entries are interned on (kind, address, SNPA,
+expiry) in an `EntryPool`: a simulator owns one for every node's RIB, so
+the receivers of a hello share one entry, a RIB built alone makes its own,
+and a pool holds one virtual time's entries.
 Entries carry an absolute expiry time; expiry <= now is expired. A refresh
 re-records a live redirect at its own holding time. The RIB keeps a lower
 bound on the earliest expiry it holds, lowered by every insert and redirect,
-so `flush_expired` before it returns without a scan; a scan resets it.
+so `flush_expired` before it returns without a scan; a scan reads each
+non-empty table once, dropping what has expired and resetting the bound.
 Dump lines (stable text interface):
   ES <address-hex> via <snpa-hex> expires <t>
   IS <address-hex> via <snpa-hex> expires <t>
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
@@ -62,42 +63,34 @@ _IS = EntryKind.IS_NEIGHBOR
 _INSERTED, _REPLACED = InsertResult
 
 
-@dataclass(frozen=True, slots=True)
-class RibEntry:
+class RibEntry(NamedTuple):
     kind: EntryKind
     address: bytes
     snpa: bytes
     expiry: int
-    line: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "line", f"{self.kind} {self.address.hex()} "
-                                         f"via {self.snpa.hex()} expires {self.expiry}")
+    line: str
 
 
 class EntryPool(dict):
     """Shared `RibEntry` values keyed on (kind, address, SNPA, expiry), all
-    inserted at virtual time `now`; see `Rib.insert_entry`."""
+    inserted at virtual time `now`; see `Rib.insert_entry`. Each is built in
+    C, with its dump line rendered into `line` once."""
     now: int | None = None
 
     def __missing__(self, key: tuple) -> RibEntry:
-        e = self[key] = RibEntry(*key)
+        kind, address, snpa, expiry = key
+        e = self[key] = _new(RibEntry, (kind, address, snpa, expiry,
+                                        f"{kind} {address.hex()} via {snpa.hex()} expires {expiry}"))
         return e
 
 
-@dataclass(frozen=True, slots=True)
-class RedirectEntry:
+class RedirectEntry(NamedTuple):
     destination: bytes
     better_snpa: bytes
     redirect_net: bytes | None
     expiry: int
     holding_time: int
-    line: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        net = f" net {self.redirect_net.hex()}" if self.redirect_net else ""
-        object.__setattr__(self, "line", f"RD {self.destination.hex()} -> "
-                                         f"{self.better_snpa.hex()}{net} expires {self.expiry}")
+    line: str
 
 
 class Rib:
@@ -153,19 +146,24 @@ class Rib:
         """Drop every entry and redirect with expiry <= now, in place.
 
         Before the bound on the earliest expiry nothing has expired, so
-        most calls return at once; a call at or past it scans each table
-        and sets the bound to the earliest expiry that is left.
+        most calls return at once; a call at or past it reads each non-empty
+        table once, collecting its expired keys and the earliest expiry that
+        is left, which becomes the bound.
         """
         if now < self._next_expiry:
             return 0
-        removed = 0
-        bound = math.inf
+        removed, bound = 0, math.inf
         for table in (self.es_neighbors, self.is_neighbors, self.redirects):
-            dead = [k for k, e in table.items() if e.expiry <= now]
-            for k in dead:
-                del table[k]
-            removed += len(dead)
-            bound = min(bound, min((e.expiry for e in table.values()), default=bound))
+            if table:
+                dead = []
+                for k, e in table.items():
+                    if e.expiry <= now:
+                        dead.append(k)
+                    elif e.expiry < bound:
+                        bound = e.expiry
+                for k in dead:
+                    del table[k]
+                removed += len(dead)
         self._next_expiry = bound
         return removed
 
@@ -176,8 +174,10 @@ class Rib:
         if expiry < self._next_expiry:
             self._next_expiry = expiry
         replaced = destination in self.redirects
-        self.redirects[destination] = RedirectEntry(destination, better_snpa,
-                                                    redirect_net, expiry, holding_time)
+        net = f" net {redirect_net.hex()}" if redirect_net else ""
+        self.redirects[destination] = _new(RedirectEntry, (
+            destination, better_snpa, redirect_net, expiry, holding_time,
+            f"RD {destination.hex()} -> {better_snpa.hex()}{net} expires {expiry}"))
         return _REPLACED if replaced else _INSERTED
 
     def refresh_redirect(self, destination: bytes, observed_snpa: bytes, now: int) -> bool:

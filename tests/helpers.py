@@ -1,5 +1,5 @@
-"""Shared test utilities: random valid PDU generation and the exhaustive
-checksum-pair search oracle."""
+"""Shared test utilities: random valid PDU generation, the exhaustive
+checksum-pair search oracle, and a check of RIB values' rendered lines."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 
 from esis.pdu import (AaBody, EshBody, IshBody, Option, OptionCode, Pdu,
                       PduType, RaBody, RdBody, encode)
+from esis.rib import RedirectEntry
 
 _BODY_KINDS = ("esh", "ish", "rd", "ra", "aa")
 
@@ -79,3 +80,23 @@ def exhaustive_checksum_pairs(header: bytes) -> list[tuple[int, int]]:
         c1 = (c1 + c0) % 255
     mask = (c0 == 0) & (c1 == 0)
     return list(zip(xs[mask].tolist(), ys[mask].tolist()))
+
+
+def rendered_line(value) -> str:
+    """A RIB value's dump line, rendered here from its other fields."""
+    if type(value) is RedirectEntry:
+        net = f" net {value.redirect_net.hex()}" if value.redirect_net else ""
+        return (f"RD {value.destination.hex()} -> {value.better_snpa.hex()}{net} "
+                f"expires {value.expiry}")
+    return f"{value.kind.value} {value.address.hex()} via {value.snpa.hex()} expires {value.expiry}"
+
+
+def misrendered_rib_values(sim) -> list:
+    """Each value in the simulator's entry pool or in a node's three RIB
+    tables whose `line` is not the one its other fields render."""
+    values = list(sim.rib_entries.values())
+    for name in sim.nodes:
+        rib = sim.node(name).rib
+        values += [*rib.es_neighbors.values(), *rib.is_neighbors.values(),
+                   *rib.redirects.values()]
+    return [v for v in values if v.line != rendered_line(v)]

@@ -13,9 +13,9 @@ import pytest
 
 from esis import pdu
 from esis.checksum import generate_checksum
-from esis.engine import (Frame, MinimalClnpPdu, Node, NodeConfig, Role, SendFrame,
-                         TimerSet, decode_clnp, encode_clnp)
-from esis.rib import EntryKind, HopKind, NextHop, Rib
+from esis.engine import (AddressAssigned, Frame, MinimalClnpPdu, Node, NodeConfig,
+                         RedirectIssued, Role, SendFrame, TimerSet, decode_clnp, encode_clnp)
+from esis.rib import EntryKind, HopKind, NextHop, RedirectEntry, Rib, RibEntry
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "esis"
 SOURCES = sorted(SRC.glob("*.py"))
@@ -138,7 +138,8 @@ def test_per_frame_values_are_immutable_and_compare_by_value(index):
 
 
 def built_values() -> dict[str, tuple[type, tuple]]:
-    """Each per-frame value as the engine or the RIB builds it, with its class."""
+    """Each per-frame or per-event value as the engine or the RIB builds it,
+    with its class."""
     snpa, peer, is_snpa = (bytes([2, 0, 0, 0, 0, i]) for i in (1, 2, 255))
     nsap, peer_nsap, net = (bytes([0x49, i]) + bytes(18) for i in (1, 2, 255))
     es = Node(NodeConfig(Role.END_SYSTEM, snpa, local_nsaps=(nsap,)))
@@ -146,7 +147,7 @@ def built_values() -> dict[str, tuple[type, tuple]]:
     ish = pdu.Pdu(pdu.IshBody(net), 60, (pdu.Option(pdu.OptionCode.ESCT, b"\x00\x1e"),))
     is_ = Node(NodeConfig(Role.INTERMEDIATE_SYSTEM, is_snpa, local_net=net))
     is_.rib.insert_entry(EntryKind.ES_NEIGHBOR, peer_nsap, peer, 60, 0)
-    forward = is_.handle_pdu(MinimalClnpPdu(nsap, peer_nsap), snpa, 0)[-1]
+    issued, _, forward = is_.handle_pdu(MinimalClnpPdu(nsap, peer_nsap), snpa, 0)
     rib = Rib()
     rib.insert_entry(EntryKind.ES_NEIGHBOR, peer_nsap, peer, 60, 0)
     rib.insert_entry(EntryKind.IS_NEIGHBOR, net, is_snpa, 60, 0)
@@ -163,6 +164,11 @@ def built_values() -> dict[str, tuple[type, tuple]]:
         "next_hop redirect": (NextHop, rib.next_hop(nsap, 0)),
         "next_hop ES": (NextHop, rib.next_hop(peer_nsap, 0)),
         "next_hop IS": (NextHop, rib.next_hop(bytes(20), 0)),
+        "pooled RibEntry": (RibEntry, rib.es_neighbors[peer_nsap]),
+        "RedirectEntry": (RedirectEntry, rib.redirects[nsap]),
+        "RedirectIssued": (RedirectIssued, issued),
+        "AddressAssigned": (AddressAssigned, es.handle_pdu(pdu.Pdu(pdu.AaBody(nsap), 60),
+                                                           is_snpa, 0)[0]),
     }
 
 

@@ -1,4 +1,7 @@
+import math
 import random
+
+import pytest
 
 from esis.rib import EntryKind, EntryPool, HopKind, InsertResult, Rib
 
@@ -190,6 +193,14 @@ class MapModel:
         return len(dead) + len(gone)
 
 
+def tables(rib):
+    return rib.es_neighbors, rib.is_neighbors, rib.redirects
+
+
+def expiries(rib):
+    return [e.expiry for table in tables(rib) for e in table.values()]
+
+
 def test_model_equivalence_random_ops():
     # Two RIBs share one pool, as the nodes of one simulator do, each checked
     # against a model of its own. About half of all inserts reach both, as a
@@ -200,7 +211,13 @@ def test_model_equivalence_random_ops():
     addrs = [bytes([i]) * 8 for i in range(12)]
     snpas = [bytes([0, 0, 0, 0, 0, i]) for i in range(4)]
     now = 0
-    for _ in range(6000):
+    # Scanning flushes that found the IS and redirect tables empty, and
+    # scanning flushes that emptied a table.
+    past_empty = emptied = 0
+    for step in range(6000):
+        # Every third block of 500 ops learns ES entries alone and records no
+        # redirect, as a quiet LAN second does, so those tables run empty.
+        quiet = step // 500 % 3 == 2
         now += rng.randint(0, 3)
         op = rng.randrange(8)
         i = rng.randrange(2)
@@ -210,7 +227,7 @@ def test_model_equivalence_random_ops():
         holding = rng.randint(1, 30)
         a, s = rng.choice(addrs), rng.choice(snpas)
         if op == 0:
-            kind = rng.choice(list(EntryKind))
+            kind = EntryKind.ES_NEIGHBOR if quiet else rng.choice(list(EntryKind))
             for j in ((0, 1) if rng.random() < 0.5 else (i,)):
                 assert (ribs[j].insert_entry(kind, a, s, holding, now)
                         == models[j].insert(kind, a, s, holding, now))
@@ -222,10 +239,18 @@ def test_model_equivalence_random_ops():
                 if got is not None:
                     assert (got.kind, got.snpa, got.expiry) == want
         elif op == 2:
+            scans = now >= rib._next_expiry
+            held = [bool(table) for table in tables(rib)]
             assert rib.flush_expired(now) == model.flush(now)
+            if scans:
+                # A scan leaves the bound at the earliest expiry held.
+                assert rib._next_expiry == min(expiries(rib), default=math.inf)
+                past_empty += not held[1] and not held[2]
+                emptied += any(h and not t for h, t in zip(held, tables(rib)))
         elif op == 3:
-            assert (rib.record_redirect(a, s, None, holding, now)
-                    == model.record_redirect(a, s, holding, now))
+            if not quiet:
+                assert (rib.record_redirect(a, s, None, holding, now)
+                        == model.record_redirect(a, s, holding, now))
         elif op == 4:
             assert rib.refresh_redirect(a, s, now) == model.refresh_redirect(a, s, now)
         elif op == 5:
@@ -238,8 +263,12 @@ def test_model_equivalence_random_ops():
         for rib, model in zip(ribs, models):
             assert (rib.num_of_entry == len(rib.entries)
                     == len(rib.es_neighbors) + len(rib.is_neighbors) == len(model.entries))
+            # Nothing held expires before the bound, so a flush before it
+            # may return without a scan.
+            assert all(rib._next_expiry <= x for x in expiries(rib))
     shared = [e for e in ribs[0].entries if any(e is f for f in ribs[1].entries)]
     assert shared, "no entry ended up shared"
+    assert past_empty and emptied, (past_empty, emptied)
 
 
 def test_lookup_of_address_held_under_both_kinds_returns_its_live_es_entry():
@@ -260,6 +289,19 @@ def test_lookup_of_address_held_under_both_kinds_returns_its_live_es_entry():
         assert (rib.lookup(A, 30).kind, rib.lookup(A, 30).snpa) == (ES, S3)
         assert rib.lookup(A, 60).kind is ES  # the IS entry expires at 60
         assert rib.lookup(A, 90) is None
+
+
+def test_rib_values_take_no_assignment_of_a_field_or_a_new_name():
+    # A pooled entry is shared by every receiver of a hello, and an event
+    # is the value the RIB holds, so no caller may change one or hang a
+    # name on it.
+    rib = Rib()
+    rib.insert_entry(EntryKind.ES_NEIGHBOR, A, S1, 60, 0)
+    rib.record_redirect(D, S2, B, 60, 0)
+    for value in (rib.es_neighbors[A], rib.redirects[D]):
+        for name in ("extra", "expiry", "line"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
 
 
 def test_entry_replaced_with_shorter_holding_time_is_flushed_at_new_expiry():

@@ -1,7 +1,8 @@
 """Every shipped scenario's `esis run --dump-ribs` output, to stdout and to a
 `--log` file, is byte for byte the one recorded in bench/digests.json (which
-this test only reads), whatever the interpreter's hash seed; and no IS in a
-shipped scenario ever holds an IS entry."""
+this test only reads), whatever the interpreter's hash seed; no IS in a
+shipped scenario ever holds an IS entry; and every RIB value's `line` is
+the one its other fields render, every virtual second."""
 
 import hashlib
 import json
@@ -15,6 +16,7 @@ import pytest
 from esis.cli import main
 from esis.engine import Role
 from esis.scenario import build_simulator, load_scenario
+from helpers import misrendered_rib_values
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.scn"))
@@ -64,3 +66,15 @@ def test_no_is_ever_holds_an_is_entry(path):
     for t in range(sc.until + 1):
         sim.run_until(t)
         assert not any(rib.is_neighbors for rib in ribs), t
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_every_rib_value_line_renders_its_fields(path):
+    # `line` is a field a caller could pass or `_replace` could keep, so it
+    # must still follow the others in every pooled entry and every table, at
+    # every virtual second; redirect.scn refreshes a redirect.
+    sc = load_scenario(str(path))
+    sim = build_simulator(sc)
+    for t in range(sc.until + 1):
+        sim.run_until(t)
+        assert misrendered_rib_values(sim) == [], t

@@ -1,6 +1,5 @@
 import re
 import typing
-from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -482,7 +481,7 @@ def test_receivers_of_one_burst_share_one_frozen_entry():
     shared = es2.es_neighbors[b"\x49\x01"]
     assert shared is es3.es_neighbors[b"\x49\x01"]
     assert shared.line == "ES 4901 via 020000000001 expires 21"
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         shared.expiry = 99
     # A refresh that reaches ES2 alone gives ES2 a new entry; ES3 keeps the
     # shared one, expiry and all.
