@@ -10,10 +10,11 @@ decode can serve every receiver that shares the profile.
 `pdu.read_parts`, as ES-IS ones are. `handle_pdu` finds the handler in one
 lookup, in its role's table (`_ES_INPUT`, `_IS_INPUT`), keyed on the body's
 type for a `Pdu`, else on the type of what was read.
-Output is one method, `Node._send`, keyed on what fixes a PDU's octets:
-its body class, holding time and fields. It encodes and checksums each
-distinct PDU once per node, and a repeated hello or reply builds no `Pdu`,
-only its frame.
+Every frame out is a `Frame`, the event itself: hellos, replies and RDs
+from `Node._send`, the stub from `clnp_frame`, and the IS forward. `_send`
+is keyed on what fixes a PDU's octets: its body class, holding time and
+fields. It encodes and checksums each distinct PDU once per node, and a
+repeated hello or reply builds no `Pdu`, only its frame.
 """
 
 from __future__ import annotations
@@ -105,10 +106,6 @@ class NodeConfig:
 
 # Engine events -------------------------------------------------------------
 
-class SendFrame(NamedTuple):
-    frame: Frame
-
-
 class AddressAssigned(NamedTuple):
     net: bytes
 
@@ -122,7 +119,7 @@ class TimerSet(NamedTuple):
     at: int
 
 
-EngineEvent = (SendFrame | RibEntry | RedirectEntry | DiscardReason | AddressAssigned
+EngineEvent = (Frame | RibEntry | RedirectEntry | DiscardReason | AddressAssigned
                | RedirectIssued | TimerSet)
 
 _ROLE_MISMATCH = protocol_error(ProtocolDetail.ROLE_MISMATCH)
@@ -198,7 +195,7 @@ class Node:
                             encode_clnp(source, destination)))
 
     def _send(self, destination: bytes, holding_time: int, body_cls: type,
-              *fields: object) -> SendFrame:
+              *fields: object) -> Frame:
         """A frame to `destination` of `Pdu(body_cls(*fields), holding_time)`.
 
         The body class, holding time and fields fix the octets, so they are
@@ -213,7 +210,7 @@ class Node:
         if payload is None:
             p = Pdu(body_cls(*fields), holding_time)
             payload = self._payloads[key] = generate_checksum(pdu_mod.encode(p))
-        return _new(SendFrame, (_new(Frame, (destination, self.config.snpa, payload)),))
+        return _new(Frame, (destination, self.config.snpa, payload))
 
     def on_config_timer(self, now: int) -> list[EngineEvent]:
         """Periodic hello: ESH or ISH, or an RA while addressless."""
@@ -314,7 +311,7 @@ class Node:
         return [_new(RedirectIssued, (clnp.destination, forward_to)),
                 self._send(source_snpa, self.holding_time, RdBody, clnp.destination,
                            forward_to, net),
-                _new(SendFrame, (_new(Frame, (forward_to, self.config.snpa, payload)),))]
+                _new(Frame, (forward_to, self.config.snpa, payload))]
 
     def _longest_prefix(self, destination: bytes) -> ForwardingEntry | None:
         return max((fe for fe in self.config.forwarding_table

@@ -15,8 +15,9 @@ Grammar (one statement per line, '#' starts a comment):
   at <t> down <node>
   at <t> up <node>
 
-Unknown statements or keys are load errors, and so are keys that the
-node's role never reads: `net=` on an es node, `nsap=` on an is node and a
+Unknown statements or keys are load errors, and so is a key given twice
+on a `node` or `forward` line, save `nsap=`, and a key that the node's
+role never reads: `net=` on an es node, `nsap=` on an is node and a
 `forward` line for an es node. `latency`, `seed`, `until` and `drop` take
 exactly one value. Fault ordinals count transmit calls from 1 across the
 whole run, so they must be ≥ 1, and an ordinal takes one `corrupt` line at
@@ -121,14 +122,19 @@ def _one_int(lineno: int, args: list[str], what: str, minimum: int | None = None
 
 def _key_values(lineno: int, tokens: list[str], converters: dict[str, Callable],
                 what: str) -> list[tuple[str, object]]:
-    """Each key=value token as (key, converters[key](lineno, value, key)), in order."""
-    pairs = []
+    """Each key=value token as (key, converters[key](lineno, value, key)), in
+    order. Only `nsap=` may repeat."""
+    pairs, seen = [], set()
     for tok in tokens:
         if "=" not in tok:
             raise ScenarioError(lineno, f"expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
         if key not in converters:
             raise ScenarioError(lineno, f"unknown {what} key {key!r}")
+        if key in seen:
+            raise ScenarioError(lineno, f"{what} key {key}= given twice")
+        if key != "nsap":
+            seen.add(key)
         pairs.append((key, converters[key](lineno, val, key)))
     return pairs
 
@@ -163,7 +169,7 @@ def _parse_node(lineno: int, args: list[str], nodes: dict[str, NodeDecl],
     if name in nodes:
         raise ScenarioError(lineno, f"duplicate node name {name}")
     pairs = _key_values(lineno, args[1:], _NODE_KEYS, "node")
-    values = dict(pairs)  # nsap= may repeat; any other key keeps its last value
+    values = dict(pairs)  # every key but nsap= is given once
     role = values.get("role")
     snpa = values.get("snpa")
     if role is None:

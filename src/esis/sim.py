@@ -7,12 +7,14 @@ Each entry carries the method that runs it, its target and one argument. A
 delivery map takes each destination SNPA that `Node.listens_to` names to its
 receivers in add order. A frame to a destination with receivers is one
 event, holding a tuple of them copied at `transmit`, that delivers to them
-in that order. The delivery skips the sender by name, and nothing else tests
-the sender, so a frame only its sender hears queues a delivery that logs
-nothing. Each receiver acts through `Node.handle_pdu` on the decode of the
-payload in its own table, that of its validation profile, found when the
-node is added, as the role and SNPA that place it in the delivery map are. A
-simulator decodes each distinct (payload, profile value) pair once. The
+in that order. `transmit` takes no time: it stamps the frame with the
+simulator's own `now`. The delivery skips the sender by name, and nothing
+else tests the sender, so a frame only its sender hears queues a delivery
+that logs nothing. Each receiver acts through `Node.handle_pdu` on the
+decode of the payload in its own table, the one for its profile's NSAP
+rule, the only part of a profile that decode reads. The table is found when
+the node is added, as the role and SNPA that place it in the delivery map
+are. A simulator decodes each distinct (payload, NSAP rule) pair once. The
 simulator owns the `EntryPool` of every node's RIB, so the receivers of a
 hello share one frozen RIB entry, rendered once, and the pool holds one time
 step's entries. A RIB event is the entry itself, and one renderer logs
@@ -32,8 +34,8 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .engine import (AddressAssigned, Frame, Node, NodeConfig, RedirectIssued, SendFrame,
-                     TimerSet, decode_payload)
+from .engine import (AddressAssigned, Frame, Node, NodeConfig, RedirectIssued, TimerSet,
+                     decode_payload)
 from .pdu import SNPA_LEN, DiscardReason, ValidationProfile
 from .rib import EntryPool, RedirectEntry, RibEntry
 
@@ -85,7 +87,7 @@ class Simulator:
         self.log: list[str] = []
         self.nodes: dict[str, _SimNode] = {}
         self._groups: dict[bytes, list[_SimNode]] = {}
-        self._decoded: dict[ValidationProfile, _Decodes] = {}  # see _deliver
+        self._decoded: dict[tuple[int, int | None], _Decodes] = {}  # see _deliver
         self.rib_entries = EntryPool()  # shared by every node's RIB
 
     # Setup --------------------------------------------------------------
@@ -94,8 +96,8 @@ class Simulator:
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name}")
         profile = config.validation_profile
-        if (decodes := self._decoded.get(profile)) is None:
-            decodes = self._decoded[profile] = _Decodes(profile)
+        if (decodes := self._decoded.get(profile.nsap_rule)) is None:
+            decodes = self._decoded[profile.nsap_rule] = _Decodes(profile)
         sn = _SimNode(name, Node(config, self.rib_entries), decodes)
         self._set_timer(sn, start)
         self.nodes[name] = sn
@@ -140,7 +142,7 @@ class Simulator:
 
     # Transmission ---------------------------------------------------------
 
-    def transmit(self, frame: Frame, now: int, sender: str) -> None:
+    def transmit(self, frame: Frame, sender: str) -> None:
         destination, source, payload = frame
         # Delivery keys on the destination and decode on the payload, so each
         # field is read as `bytes`.
@@ -163,13 +165,13 @@ class Simulator:
                 val = (payload[idx] + self.rng.randrange(1, 256)) % 256
             payload = payload[:idx] + bytes((val,)) + payload[idx + 1:]
         payload_hex = payload.hex()
-        self.log.append(f"t={now} node={sender} SEND dst={destination.hex()} "
+        self.log.append(f"t={self.now} node={sender} SEND dst={destination.hex()} "
                         f"payload={payload_hex}")
         if ordinal in self.faults.drops:
             return
         group = self._groups.get(destination)
         if group:
-            self._schedule(now + self.latency, Simulator._deliver, tuple(group),
+            self._schedule(self.now + self.latency, Simulator._deliver, tuple(group),
                            (source, payload, sender,
                             f" RECV src={source.hex()} payload={payload_hex}"))
 
@@ -198,10 +200,10 @@ class Simulator:
         """Hand the frame's source and payload, from `delivery`, to each
         receiver in add order that is up and is not the frame's sender.
 
-        Each receiver reads the decode from its own table, its profile's in
-        `_decoded`, found by value when it was added, so equal but distinct
-        profiles share decodes. The table is keyed on the payload alone and
-        decodes only a payload not seen before. Decode results are frozen,
+        Each receiver reads the decode from its own table in `_decoded`,
+        found by its profile's NSAP rule when it was added, so profiles that
+        decode alike share decodes. The table is keyed on the payload alone
+        and decodes only a payload not seen before. Decode results are frozen,
         so receivers and later frames share them.
         """
         source, payload, sender, recv = delivery
@@ -214,7 +216,7 @@ class Simulator:
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:
         if not sn.down:
             source, destination = addresses
-            self.transmit(sn.node.clnp_frame(source, destination, at), at, sn.name)
+            self.transmit(sn.node.clnp_frame(source, destination, at), sn.name)
 
     def _go_down(self, sn: _SimNode, _: None, at: int) -> None:
         sn.down = True
@@ -239,10 +241,10 @@ def _on_timer_set(sim: Simulator, sn: _SimNode, ev: TimerSet, at: int) -> None:
     sim._set_timer(sn, ev.at)
 
 
-# What the simulator does with each engine event class: a SendFrame is put on
-# the wire, and every other event is logged; a TimerSet also re-arms the timer.
+# What the simulator does with each engine event class: a Frame is put on the
+# wire, and every other event is logged; a TimerSet also re-arms the timer.
 _ON_EVENT: dict[type, Callable] = {
-    SendFrame: lambda sim, sn, ev, at: sim.transmit(ev.frame, at, sn.name),
+    Frame: lambda sim, sn, ev, at: sim.transmit(ev, sn.name),
     **dict.fromkeys((RibEntry, RedirectEntry), lambda sim, sn, ev, at: sim.log.append(
         f"t={at} node={sn.name} RIB {ev.line}")),
     DiscardReason: lambda sim, sn, ev, at: sim.log.append(f"t={at} node={sn.name} DISCARD {ev}"),

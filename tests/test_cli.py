@@ -277,6 +277,13 @@ def test_parser_shares_one_value_per_distinct_at_token():
      "forward needs an is node, 'A' is an es node"),
     (f"forward A prefix=49 net={LONG_NSAP_HEX} snpa=020000000003",
      f"net must be empty or an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+    # Only nsap= may repeat: a second value of any other key is refused,
+    # not taken in place of the first.
+    ("node B role=es snpa=020000000002 nsap=4900 role=is net=49ff",
+     "node key role= given twice"),
+    ("node B role=es snpa=020000000002 snpa=020000000009", "node key snpa= given twice"),
+    ("forward A prefix=49 prefix=47 net=48ff snpa=020000000003",
+     "forward key prefix= given twice"),
 ])
 def test_run_rejects_bad_values(capsys, tmp_path, line, msg):
     bad = tmp_path / "bad.scn"

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esis import pdu as pdu_mod
+from esis import engine, pdu as pdu_mod
 from esis.checksum import generate_checksum
 from esis.engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, EngineEvent, Frame,
                          ForwardingEntry, MinimalClnpPdu, Node, NodeConfig,
-                         RedirectIssued, Role, SendFrame, TimerSet,
+                         RedirectIssued, Role, TimerSet,
                          decode_clnp, decode_payload, encode_clnp)
 from esis.pdu import (ATN, CHECKSUM_ERROR, LENIENT, AaBody, DiscardReason, EshBody, IshBody,
                       Option, OptionCode, Pdu, PduType, RaBody, RdBody, decode, encode)
@@ -39,8 +39,7 @@ def make_is(**kw):
 
 
 def sent_pdus(events):
-    return [(decode(ev.frame.payload), ev.frame) for ev in events
-            if isinstance(ev, SendFrame)]
+    return [(decode(ev.payload), ev) for ev in events if isinstance(ev, Frame)]
 
 
 def frame_with(pdu: Pdu, source: bytes, dest: bytes = None) -> Frame:
@@ -142,7 +141,7 @@ def test_unchanged_hello_is_reused_and_a_new_holding_time_is_not(monkeypatch):
     assert len(calls) == 1  # one ESH, to both groups, encoded once
     node.ct = 7
     again = node.on_config_timer(20)[:2]
-    assert [decode(ev.frame.payload).holding_time for ev in again] == [14, 14]
+    assert [decode(ev.payload).holding_time for ev in again] == [14, 14]
     assert len(calls) == 2
 
 
@@ -442,10 +441,10 @@ def test_hellos_encode_each_distinct_pdu_once(monkeypatch):
     for now in range(0, 60, 10):
         for node, peer in ((es, is_), (is_, es)):
             for ev in node.on_config_timer(now):
-                if isinstance(ev, SendFrame):
+                if isinstance(ev, Frame):
                     sends += 1
-                    for reply in peer.handle_frame(ev.frame, now):
-                        sends += isinstance(reply, SendFrame)
+                    for reply in peer.handle_frame(ev, now):
+                        sends += isinstance(reply, Frame)
     # At t=0 the ESH to both groups, the ISH reply to it, the ISH hello and
     # the ESH reply to that; then one hello per node for five periods.
     assert sends == 15
@@ -461,20 +460,25 @@ def test_repeated_replies_and_redirects_build_no_pdu(monkeypatch):
               (Pdu(RaBody()), ES_SNPA), (MinimalClnpPdu(ES_NSAP, ES2_NSAP), ES_SNPA)]
 
     def replies(now):
-        return [[ev for ev in node.handle_pdu(p, source, now) if isinstance(ev, SendFrame)][0]
+        return [[ev for ev in node.handle_pdu(p, source, now) if isinstance(ev, Frame)][0]
                 for p, source in inputs]
 
     first = replies(0)
-    built = []
+    built, new = [], []
     init = Pdu.__init__
     monkeypatch.setattr(Pdu, "__init__",
                         lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    monkeypatch.setattr(engine, "_new", lambda cls, fields: new.append(cls) or
+                        tuple.__new__(cls, fields))
     node.rib.flush_expired(100)  # so each hello is new again and earns an ISH
     again = replies(100)
     assert built == []
+    # A send builds one value, its Frame; the CLNP input adds its
+    # REDIRECT event and the forwarded frame.
+    assert new == [Frame, Frame, Frame, RedirectIssued, Frame, Frame]
     assert again == first
-    assert [type(decode(ev.frame.payload).body) for ev in again] == [IshBody, IshBody,
-                                                                       AaBody, RdBody]
+    assert [type(decode(ev.payload).body) for ev in again] == [IshBody, IshBody,
+                                                                 AaBody, RdBody]
 
 
 def test_ish_reply_and_aa_with_equal_nets_carry_different_payloads():
@@ -485,15 +489,15 @@ def test_ish_reply_and_aa_with_equal_nets_carry_different_payloads():
     assert node.assign_temporary_net(snpa) == IS_NET
     ish = node.handle_pdu(Pdu(EshBody((ES_NSAP,)), holding_time=60), snpa, 0)[-1]
     aa = node.handle_pdu(Pdu(RaBody()), snpa, 0)[-1]
-    assert ish.frame.destination == aa.frame.destination == snpa
-    assert [type(decode(ev.frame.payload).body) for ev in (ish, aa)] == [IshBody, AaBody]
+    assert ish.destination == aa.destination == snpa
+    assert [type(decode(ev.payload).body) for ev in (ish, aa)] == [IshBody, AaBody]
 
 
 def test_emitted_pdus_roundtrip():
     for node in (make_es(), make_is(), make_es(local_nsaps=())):
         for ev in node.on_config_timer(0):
-            if isinstance(ev, SendFrame):
-                assert isinstance(decode(ev.frame.payload), Pdu)
+            if isinstance(ev, Frame):
+                assert isinstance(decode(ev.payload), Pdu)
 
 
 def random_payload(rng: random.Random, kind: str) -> bytes:
@@ -575,9 +579,9 @@ def test_handle_frame_never_raises_and_sends_only_frames_that_decode(frames, pro
             payload = random_payload(rng, kind)
         for ev in node.handle_frame(Frame(destination, source, payload), now):
             assert isinstance(ev, typing.get_args(EngineEvent))
-            if isinstance(ev, SendFrame):
-                assert len(ev.frame.destination) == 6 and ev.frame.source == node.config.snpa
-                assert isinstance(decode_payload(ev.frame.payload, LENIENT),
+            if isinstance(ev, Frame):
+                assert len(ev.destination) == 6 and ev.source == node.config.snpa
+                assert isinstance(decode_payload(ev.payload, LENIENT),
                                   (Pdu, MinimalClnpPdu))
             elif isinstance(ev, RibEntry):  # a RIB event is the entry the RIB holds
                 table = (node.rib.es_neighbors if ev.kind is EntryKind.ES_NEIGHBOR
@@ -603,7 +607,7 @@ def test_handle_frame_reads_any_bytes_like_source_and_payload(octets):
         for now, frame in enumerate(frames):
             got = node.handle_frame(as_octets(frame), now)
             assert got == reference.handle_frame(frame, now)
-            assert all(type(ev) is not SendFrame or type(ev.frame.payload) is bytes
+            assert all(type(ev) is not Frame or type(ev.payload) is bytes
                        for ev in got)
         assert node.rib.dump(5) == reference.rib.dump(5) != []
         assert node.rib.num_of_entry == reference.rib.num_of_entry > 0

@@ -14,7 +14,7 @@ import pytest
 from esis import pdu
 from esis.checksum import generate_checksum
 from esis.engine import (AddressAssigned, Frame, MinimalClnpPdu, Node, NodeConfig,
-                         RedirectIssued, Role, SendFrame, TimerSet, decode_clnp, encode_clnp)
+                         RedirectIssued, Role, TimerSet, decode_clnp, encode_clnp)
 from esis.rib import EntryKind, HopKind, NextHop, RedirectEntry, Rib, RibEntry
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "esis"
@@ -120,11 +120,11 @@ def test_codec_values_are_slotted():
 def per_frame_values() -> list:
     """One of each value built per frame or event, from fresh bytes objects."""
     frame = Frame(bytes([9, 0, 43, 0, 0, 4]), bytes([2, 0, 0, 0, 0, 1]), bytes([0x81, 1, 0x49]))
-    return [frame, MinimalClnpPdu(bytes([0x49, 1]), bytes([0x47, 2])), SendFrame(frame),
+    return [frame, MinimalClnpPdu(bytes([0x49, 1]), bytes([0x47, 2])),
             TimerSet(5), NextHop(HopKind.DIRECT, bytes([2, 0, 0, 0, 0, 2]))]
 
 
-@pytest.mark.parametrize("index", range(5), ids=lambda i: type(per_frame_values()[i]).__name__)
+@pytest.mark.parametrize("index", range(4), ids=lambda i: type(per_frame_values()[i]).__name__)
 def test_per_frame_values_are_immutable_and_compare_by_value(index):
     # These are built for every frame sent or event out, so they carry no
     # __dict__, take no assignment, and hash and compare by value.
@@ -154,12 +154,10 @@ def built_values() -> dict[str, tuple[type, tuple]]:
     rib.record_redirect(nsap, is_snpa, None, 60, 0)
     return {
         "clnp_frame": (Frame, es.clnp_frame(nsap, peer_nsap, 0)),
-        "hello SendFrame": (SendFrame, hello),
-        "hello Frame": (Frame, hello[0]),
+        "hello Frame": (Frame, hello),
         "hello TimerSet": (TimerSet, es.on_config_timer(0)[-1]),
         "ESCT TimerSet": (TimerSet, es.handle_pdu(ish, is_snpa, 0)[-1]),
-        "forward SendFrame": (SendFrame, forward),
-        "forward Frame": (Frame, forward[0]),
+        "forward Frame": (Frame, forward),
         "decode_clnp": (MinimalClnpPdu, decode_clnp(encode_clnp(nsap, peer_nsap))),
         "next_hop redirect": (NextHop, rib.next_hop(nsap, 0)),
         "next_hop ES": (NextHop, rib.next_hop(peer_nsap, 0)),

@@ -49,7 +49,7 @@ def test_empty_schedule_empty_log():
 
 def test_unicast_delivers_once():
     sim = three_node_sim(start=1000, )
-    sim.transmit(Frame(S2, S1, b"\x55"), 0, "ES1")
+    sim.transmit(Frame(S2, S1, b"\x55"), "ES1")
     log = sim.run_until(2)
     assert len(recv_lines(log)) == 1
     assert "node=ES2 RECV" in recv_lines(log)[0]
@@ -57,22 +57,22 @@ def test_unicast_delivers_once():
 
 def test_group_delivery_excludes_sender():
     sim = three_node_sim(start=1000, )
-    sim.transmit(Frame(ALL_ES, S1, b"\x55"), 0, "ES1")
+    sim.transmit(Frame(ALL_ES, S1, b"\x55"), "ES1")
     log = sim.run_until(2)
     got = recv_lines(log)
     assert len(got) == 1 and "node=ES2" in got[0]
 
     sim = three_node_sim(start=1000)
-    sim.transmit(Frame(BROADCAST, S1, b"\x55"), 0, "ES1")
+    sim.transmit(Frame(BROADCAST, S1, b"\x55"), "ES1")
     assert len(recv_lines(sim.run_until(2))) == 2
 
 
 def test_node_added_after_transmit_does_not_receive_that_frame():
     # A frame goes to the receivers its destination had when it was sent.
     sim = three_node_sim(start=1000)
-    sim.transmit(Frame(ALL_ES, S1, b"\x55"), 0, "ES1")
+    sim.transmit(Frame(ALL_ES, S1, b"\x55"), "ES1")
     sim.add_node("ES3", es_config(bytes.fromhex("020000000003"), NSAP2), start=1000)
-    sim.transmit(Frame(ALL_ES, S1, b"\x66"), 0, "ES1")
+    sim.transmit(Frame(ALL_ES, S1, b"\x66"), "ES1")
     got = [(l.split()[1], l.split("payload=")[1]) for l in recv_lines(sim.run_until(2))]
     assert got == [("node=ES2", "55"), ("node=ES2", "66"), ("node=ES3", "66")]
 
@@ -89,13 +89,13 @@ def test_frame_only_its_sender_hears_logs_only_its_send(latency):
     sim.add_node("ES1", es_config(S1, NSAP1), start=1000)
     sim.add_node("IS1", is_config(S3), start=1000)
     for destination in (ALL_ES, S1):
-        sim.transmit(Frame(destination, S1, b"\x55"), 0, "ES1")
+        sim.transmit(Frame(destination, S1, b"\x55"), "ES1")
     assert [l.split()[2] for l in sim.run_until(5)] == ["SEND", "SEND"]
 
 
 def test_unicast_to_unknown_snpa_reaches_nobody():
     sim = three_node_sim(start=1000)
-    sim.transmit(Frame(bytes.fromhex("020000000099"), S1, b"\x55"), 0, "ES1")
+    sim.transmit(Frame(bytes.fromhex("020000000099"), S1, b"\x55"), "ES1")
     log = sim.run_until(2)
     assert any(" SEND " in l for l in log)
     assert recv_lines(log) == []
@@ -109,7 +109,7 @@ def test_snpa_equal_to_group_address_adds_no_copies(group):
     sim = three_node_sim(start=1000)
     sim.add_node("ESX", es_config(group, NSAP2), start=1000)
     for i, destination in enumerate((ALL_ES, ALL_IS, BROADCAST)):
-        sim.transmit(Frame(destination, S1, bytes([i])), 0, "ES1")
+        sim.transmit(Frame(destination, S1, bytes([i])), "ES1")
     got = recv_lines(sim.run_until(2))
     assert [l.split("payload=")[1] for l in got if "node=ESX" in l] == ["00", "02"]
     assert [l.split("payload=")[1] for l in got if "node=ES2" in l] == ["00", "02"]
@@ -117,7 +117,7 @@ def test_snpa_equal_to_group_address_adds_no_copies(group):
 
 def test_drop_rule_suppresses_delivery():
     sim = three_node_sim(start=1000, faults=FaultPlan(drops={1}))
-    sim.transmit(Frame(S2, S1, b"\x55"), 0, "ES1")
+    sim.transmit(Frame(S2, S1, b"\x55"), "ES1")
     log = sim.run_until(2)
     assert any(" SEND " in l for l in log)
     assert recv_lines(log) == []
@@ -137,8 +137,8 @@ def test_transmit_reads_bytes_like_fields_as_bytes(fields, monkeypatch):
     runs = []
     for frame in (esh, as_bytearray):
         sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={2: (12, None)}))
-        sim.transmit(frame, 0, "ES1")
-        sim.transmit(frame, 0, "ES1")  # the second is corrupted
+        sim.transmit(frame, "ES1")
+        sim.transmit(frame, "ES1")  # the second is corrupted
         runs.append((sim.run_until(1), sim.dump_ribs()))
         assert type(sim.node("IS1").rib.lookup(NSAP1, 1).snpa) is bytes
     assert runs[1] == runs[0]
@@ -147,9 +147,24 @@ def test_transmit_reads_bytes_like_fields_as_bytes(fields, monkeypatch):
     assert len(calls) == 2 * events.count("SEND")  # one transmit call per frame
 
 
+def test_transmit_stamps_a_frame_with_the_simulators_time():
+    # A frame takes the simulator's time, so the log's times never run
+    # backwards, whenever between events a caller transmits.
+    sim = Simulator(latency=1)
+    sim.add_node("A", es_config(S1, NSAP1, ct=5))
+    sim.add_node("B", es_config(S2, NSAP2, ct=5))
+    sim.run_until(5)
+    sim.transmit(Frame(S2, S1, b"\x55"), "A")
+    log = sim.run_until(12)
+    assert [l.split()[:3] for l in log if l.endswith(" payload=55")] == [
+        ["t=5", "node=A", "SEND"], ["t=6", "node=B", "RECV"]]
+    times = [int(l.split()[0][2:]) for l in log]
+    assert times == sorted(times)
+
+
 def test_corruption_mutates_payload():
     sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={1: (0, 0x99)}))
-    sim.transmit(Frame(S2, S1, b"\x55\x66"), 0, "ES1")
+    sim.transmit(Frame(S2, S1, b"\x55\x66"), "ES1")
     log = sim.run_until(2)
     assert "payload=9966" in recv_lines(log)[0]
 
@@ -157,7 +172,7 @@ def test_corruption_mutates_payload():
 def test_corruption_index_past_payload_raises():
     sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={1: (2, 0x99)}))
     with pytest.raises(ValueError, match="frame 1: octet index 2 is outside its 2-octet"):
-        sim.transmit(Frame(S2, S1, b"\x55\x66"), 0, "ES1")
+        sim.transmit(Frame(S2, S1, b"\x55\x66"), "ES1")
 
 
 @pytest.mark.parametrize("index", [0, None], ids=["fixed", "random"])
@@ -165,7 +180,7 @@ def test_corruption_of_an_empty_payload_raises_naming_the_frame(index):
     # A random index once reached `randrange(0)` and its "empty range" error.
     sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={1: (index, None)}))
     with pytest.raises(ValueError, match=r"frame 1: octet index \S+ is outside its 0-octet"):
-        sim.transmit(Frame(ALL_IS, S1, b""), 0, "ES1")
+        sim.transmit(Frame(ALL_IS, S1, b""), "ES1")
 
 
 def test_transmit_rejects_a_source_that_is_not_an_snpa():
@@ -174,21 +189,21 @@ def test_transmit_rejects_a_source_that_is_not_an_snpa():
     esh = generate_checksum(encode(Pdu(EshBody((NSAP2,)), holding_time=20)))
     sim = three_node_sim()
     with pytest.raises(ValueError, match="frame source 01 is not an SNPA of 6 octets"):
-        sim.transmit(Frame(ALL_IS, b"\x01", esh), 0, "ES1")
+        sim.transmit(Frame(ALL_IS, b"\x01", esh), "ES1")
     sim.inject_clnp(3, "ES1", NSAP1, NSAP2)
     log = sim.run_until(5)
     assert not any(" via 01 " in line or " dst=01 " in line for line in log)
     # The refused frame took no ordinal: the corruption rule hits the next frame.
     sim = three_node_sim(start=1000, faults=FaultPlan(corruptions={1: (0, 0x99)}))
     with pytest.raises(ValueError):
-        sim.transmit(Frame(S2, S1[:5], b"\x55"), 0, "ES1")
-    sim.transmit(Frame(S2, S1, b"\x55"), 0, "ES1")
+        sim.transmit(Frame(S2, S1[:5], b"\x55"), "ES1")
+    sim.transmit(Frame(S2, S1, b"\x55"), "ES1")
     assert "payload=99" in recv_lines(sim.run_until(2))[0]
 
 
 def test_random_corruption_changes_an_octet():
     sim = three_node_sim(start=1000, seed=3, faults=FaultPlan(corruptions={1: (None, None)}))
-    sim.transmit(Frame(S2, S1, b"\x55\x66"), 0, "ES1")
+    sim.transmit(Frame(S2, S1, b"\x55\x66"), "ES1")
     payload = recv_lines(sim.run_until(2))[0].split("payload=")[1]
     assert payload != "5566"
 
@@ -313,8 +328,8 @@ def test_zero_latency_reply_runs_after_deliveries_queued_for_its_time():
     # ESH in answer to the ISH comes last.
     sim = three_node_sim(start=1000, latency=0)
     esh = generate_checksum(encode(Pdu(EshBody((NSAP1,)), holding_time=20)))
-    sim.transmit(Frame(ALL_IS, S1, esh), 0, "ES1")
-    sim.transmit(Frame(S1, S2, b"\x55"), 0, "ES2")
+    sim.transmit(Frame(ALL_IS, S1, esh), "ES1")
+    sim.transmit(Frame(S1, S2, b"\x55"), "ES2")
     got = [(l.split()[1], l.split("src=")[1].split()[0]) for l in recv_lines(sim.run_until(0))]
     assert got == [("node=IS1", S1.hex()), ("node=ES1", S2.hex()),
                    ("node=ES1", S3.hex()), ("node=IS1", S1.hex())]
@@ -324,7 +339,7 @@ def test_batch_reaches_receivers_in_add_order():
     sim = Simulator()
     for i, name in enumerate(("Z", "A", "M", "B")):
         sim.add_node(name, es_config(bytes([2, 0, 0, 0, 0, i]), NSAP1), start=1000)
-    sim.transmit(Frame(BROADCAST, bytes([2, 0, 0, 0, 0, 1]), b"\x55"), 0, "A")
+    sim.transmit(Frame(BROADCAST, bytes([2, 0, 0, 0, 0, 1]), b"\x55"), "A")
     assert [l.split()[1] for l in recv_lines(sim.run_until(1))] == [
         "node=Z", "node=M", "node=B"]
 
@@ -333,11 +348,11 @@ def test_down_at_delivery_time_skips_only_batches_queued_after_it():
     # The down for t=1 is queued before the frame, so ES2 misses it.
     sim = three_node_sim(start=1000)
     sim.inject_down(1, "ES2")
-    sim.transmit(Frame(BROADCAST, S1, b"\x55"), 0, "ES1")
+    sim.transmit(Frame(BROADCAST, S1, b"\x55"), "ES1")
     assert [l.split()[1] for l in recv_lines(sim.run_until(2))] == ["node=IS1"]
     # Queued the other way round, the batch reaches ES2 before it goes down.
     sim = three_node_sim(start=1000)
-    sim.transmit(Frame(BROADCAST, S1, b"\x55"), 0, "ES1")
+    sim.transmit(Frame(BROADCAST, S1, b"\x55"), "ES1")
     sim.inject_down(1, "ES2")
     assert [l.split()[1] for l in recv_lines(sim.run_until(2))] == [
         "node=ES2", "node=IS1"]
@@ -356,7 +371,7 @@ def all_es_burst_sim(profiles):
         config = es_config(bytes([2, 0, 0, 0, 1, i]), NSAP2)
         config.validation_profile = ValidationProfile(atn=atn)
         sim.add_node(f"R{i}", config, start=1000)
-    sim.transmit(Frame(ALL_ES, S1, SHORT_ESH), 0, "SRC")
+    sim.transmit(Frame(ALL_ES, S1, SHORT_ESH), "SRC")
     return sim
 
 
@@ -394,7 +409,7 @@ def test_repeated_payload_is_decoded_once_per_profile_per_simulator(monkeypatch,
     def run():
         sim = all_es_burst_sim(profiles)
         sim.run_until(4)
-        sim.transmit(Frame(ALL_ES, S1, bytes(bytearray(SHORT_ESH))), 4, "SRC")
+        sim.transmit(Frame(ALL_ES, S1, bytes(bytearray(SHORT_ESH))), "SRC")
         return [l.split(maxsplit=2) for l in sim.run_until(5)
                 if " RECV " not in l and " SEND " not in l]
 
@@ -429,15 +444,18 @@ def test_unicast_run_hashes_and_compares_no_profile(monkeypatch):
 
 def test_equal_profiles_share_one_decode_table_and_others_do_not():
     sim = Simulator()
+    # Decode reads only a profile's NSAP rule, and a lenient rule has no AFI.
     profiles = [ValidationProfile(), ValidationProfile(), pdu.LENIENT,
-                ValidationProfile(atn=True), pdu.ATN]
+                ValidationProfile(atn=True), pdu.ATN, ValidationProfile(afi=0x39),
+                ValidationProfile(atn=True, afi=0x39)]
     for i, profile in enumerate(profiles):
         config = es_config(bytes([2, 0, 0, 0, 1, i]), NSAP2)
         config.validation_profile = profile
         sim.add_node(f"N{i}", config)
-    lenient, _, _, atn, _ = tables = [sn.decodes for sn in sim.nodes.values()]
-    assert [t is lenient for t in tables] == [True, True, True, False, False]
-    assert [t is atn for t in tables] == [False, False, False, True, True]
+    lenient, _, _, atn, _, _, atn39 = tables = [sn.decodes for sn in sim.nodes.values()]
+    assert [t is lenient for t in tables] == [True, True, True, False, False, True, False]
+    assert [t is atn for t in tables] == [False, False, False, True, True, False, False]
+    assert [t is atn39 for t in tables] == [False] * 6 + [True]
 
 
 # The ATN profile in a run: an atn IS and an atn ES with 20-octet AFI-47
@@ -475,7 +493,7 @@ def test_receivers_of_one_burst_share_one_frozen_entry():
     sim = Simulator()
     for name, snpa in (("ES2", S2), ("ES3", S3)):
         sim.add_node(name, es_config(snpa, NSAP2), start=1000)
-    sim.transmit(Frame(ALL_ES, S1, SHORT_ESH), 0, "SRC")
+    sim.transmit(Frame(ALL_ES, S1, SHORT_ESH), "SRC")
     sim.run_until(1)
     es2, es3 = (sim.node(name).rib for name in ("ES2", "ES3"))
     shared = es2.es_neighbors[b"\x49\x01"]
@@ -485,7 +503,8 @@ def test_receivers_of_one_burst_share_one_frozen_entry():
         shared.expiry = 99
     # A refresh that reaches ES2 alone gives ES2 a new entry; ES3 keeps the
     # shared one, expiry and all.
-    sim.transmit(Frame(S2, S1, SHORT_ESH), 5, "SRC")
+    sim.run_until(5)
+    sim.transmit(Frame(S2, S1, SHORT_ESH), "SRC")
     sim.run_until(6)
     assert es2.es_neighbors[b"\x49\x01"].expiry == 26
     assert es3.es_neighbors[b"\x49\x01"] is shared and shared.expiry == 21
