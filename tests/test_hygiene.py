@@ -119,9 +119,9 @@ def test_codec_values_are_slotted():
 
 def per_frame_values() -> list:
     """One of each value built per frame or event, from fresh bytes objects."""
-    frame = Frame(bytes([9, 0, 43, 0, 0, 4]), bytes([2, 0, 0, 0, 0, 1]), bytes([0x81, 1, 0x49]))
-    return [frame, MinimalClnpPdu(bytes([0x49, 1]), bytes([0x47, 2])),
-            TimerSet(5), NextHop(HopKind.DIRECT, bytes([2, 0, 0, 0, 0, 2]))]
+    return [Frame(bytes([9, 0, 43, 0, 0, 4]), bytes([2, 0, 0, 0, 0, 1]), bytes([0x81, 1, 0x49])),
+            MinimalClnpPdu(bytes([0x49, 1]), bytes([0x47, 2])), TimerSet(5),
+            NextHop(HopKind.DIRECT, bytes([2, 0, 0, 0, 0, 2]))]
 
 
 @pytest.mark.parametrize("index", range(4), ids=lambda i: type(per_frame_values()[i]).__name__)
