@@ -1,11 +1,11 @@
-"""Shared test utilities: random valid PDU generation, the exhaustive
-checksum-pair search oracle, and a check of RIB values' rendered lines."""
+"""Shared test utilities: random valid PDU generation, ISO 8473 Annex C's
+running sums one octet at a time, the exhaustive checksum-pair search
+oracle built on them, and a check of RIB values' rendered lines. Like the
+package, the suite uses only the standard library, pytest and hypothesis."""
 
 from __future__ import annotations
 
 import random
-
-import numpy as np
 
 from esis.pdu import (AaBody, EshBody, IshBody, Option, OptionCode, Pdu,
                       PduType, RaBody, RdBody, encode)
@@ -62,24 +62,29 @@ def random_header(rng: random.Random, min_len: int = 9, max_len: int = 40) -> by
     return bytes(rng.randrange(256) for _ in range(rng.randint(min_len, max_len)))
 
 
-def exhaustive_checksum_pairs(header: bytes) -> list[tuple[int, int]]:
-    """Try every (X, Y) in 1..255 x 1..255 by simulating the running c0/c1
-    accumulation for all candidates at once; return the pairs that verify."""
-    xs = np.repeat(np.arange(1, 256, dtype=np.int64), 255)
-    ys = np.tile(np.arange(1, 256, dtype=np.int64), 255)
-    c0 = np.zeros(255 * 255, dtype=np.int64)
-    c1 = np.zeros(255 * 255, dtype=np.int64)
-    for i, b in enumerate(header):
-        if i == 7:
-            c0 = c0 + xs
-        elif i == 8:
-            c0 = c0 + ys
-        else:
-            c0 = c0 + b
-        c0 %= 255
+def iterative_sums(header: bytes) -> tuple[int, int]:
+    """Annex C's c0 and c1, accumulated literally one octet at a time."""
+    c0 = c1 = 0
+    for b in header:
+        c0 = (c0 + b) % 255
         c1 = (c1 + c0) % 255
-    mask = (c0 == 0) & (c1 == 0)
-    return list(zip(xs[mask].tolist(), ys[mask].tolist()))
+    return c0, c1
+
+
+def exhaustive_checksum_pairs(header: bytes) -> list[tuple[int, int]]:
+    """Every (X, Y) in 1..255 x 1..255 that makes the header verify when
+    written as octets 8 and 9 (offsets 7 and 8), in order.
+
+    Both sums are linear in each octet, and an octet at offset i is added
+    into c1 once for each of the L - i octets from it to the end of the
+    L-octet header. So `iterative_sums` runs once, over the header with
+    octets 8 and 9 set to 0, and each pair adds to its result: X adds X to
+    c0 and (L - 7) * X to c1, and Y adds Y to c0 and (L - 8) * Y to c1.
+    """
+    c0, c1 = iterative_sums(header[:7] + b"\x00\x00" + header[9:])
+    wx, wy = len(header) - 7, len(header) - 8
+    return [(x, y) for x in range(1, 256) for y in range(1, 256)
+            if (c0 + x + y) % 255 == 0 and (c1 + wx * x + wy * y) % 255 == 0]
 
 
 def rendered_line(value) -> str:

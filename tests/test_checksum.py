@@ -6,16 +6,7 @@ from hypothesis import strategies as st
 
 from esis.checksum import (ChecksumVerdict, HeaderTooShort, _sums, generate_checksum,
                            verify_checksum)
-from helpers import exhaustive_checksum_pairs, random_header
-
-
-def iterative_sums(header: bytes) -> tuple[int, int]:
-    # Reference accumulation, literally one octet at a time.
-    c0 = c1 = 0
-    for b in header:
-        c0 = (c0 + b) % 255
-        c1 = (c1 + c0) % 255
-    return c0, c1
+from helpers import exhaustive_checksum_pairs, iterative_sums, random_header
 
 
 def test_not_used_when_both_zero():

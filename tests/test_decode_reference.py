@@ -17,8 +17,7 @@ from esis.pdu import (ATN, CHECKSUM_ERROR, LENIENT, NOT_ES_IS, WRONG_VERSION, Aa
                       EshBody, IshBody, Option, Part, Pdu, ProtocolDetail, RaBody, RdBody,
                       ValidationProfile, address_fault, decode, encode, protocol_error,
                       read_parts, validate_nsap)
-from helpers import random_pdu
-from test_checksum import iterative_sums
+from helpers import iterative_sums, random_pdu
 
 PROFILES = [LENIENT, ATN, ValidationProfile(atn=True, afi=0x39)]
 PROFILE_IDS = ["lenient", "atn", "atn-afi39"]

@@ -1,12 +1,14 @@
 """Source hygiene: every name a module of esis imports is used in it, every
 private name it defines at module level is read in it, no module uses
 a process-wide cache from functools or starts a module-level empty
-container that could become one, and no function on the frame path reads
-an enum member off its class."""
+container that could become one, no function on the frame path reads
+an enum member off its class, and the package and its tests import
+nothing beyond the standard library, pytest and hypothesis."""
 
 import ast
 import enum
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from esis.rib import EntryKind, HopKind, NextHop, RedirectEntry, Rib, RibEntry
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "esis"
 SOURCES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,6 +83,40 @@ def test_checker_finds_unused_private():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_privates(path):
     assert unused_privates(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str, own: set[str]) -> list[str]:
+    """Imports, at any depth, of a top-level module that is not in the
+    standard library, pytest, hypothesis, esis or one of `own`. A relative
+    import is of the importer's own package."""
+    allowed = sys.stdlib_module_names | {"pytest", "hypothesis", "esis"} | own
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.partition(".")[0] not in allowed]
+    return found
+
+
+def test_checker_finds_foreign_imports():
+    assert foreign_imports(
+        "import os, requests as rq\nfrom os.path import join\nimport requests.adapters\n"
+        "from scipy import stats\nfrom . import pdu\nimport pytest, hypothesis.strategies\n"
+        "from esis.pdu import Pdu\nfrom helpers import x\ndef f():\n    import yaml\n",
+        {"helpers"}) == [
+        "requests (line 1)", "requests.adapters (line 3)", "scipy (line 4)", "yaml (line 10)"]
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_only_the_standard_library_pytest_and_hypothesis(path):
+    # Tier-1 runs wherever pytest and hypothesis do, on any supported Python.
+    own = {test.stem for test in TESTS}
+    assert foreign_imports(path.read_text(encoding="utf-8"), own) == []
 
 
 def is_true(node: ast.expr | None) -> bool:
