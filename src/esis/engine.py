@@ -87,9 +87,19 @@ def decode_payload(payload: bytes, profile: ValidationProfile
 
 @dataclass(frozen=True, slots=True)
 class ForwardingEntry:
+    """A static route of an IS. It refuses what an RD could not carry: an
+    SNPA not of 6 octets, or a NET neither empty nor of 1..20 octets."""
     prefix: bytes
     next_is_net: bytes
     next_is_snpa: bytes
+
+    def __post_init__(self) -> None:
+        if len(self.next_is_snpa) != SNPA_LEN:
+            raise ValueError(f"a forwarding SNPA must be {SNPA_LEN} octets, "
+                             f"got {self.next_is_snpa.hex()!r}")
+        if address_fault(_NSAP_OR_EMPTY, self.next_is_net, LENIENT) is not None:
+            raise ValueError(f"a forwarding NET must be {_NSAP_OR_EMPTY.value}, "
+                             f"got {self.next_is_net.hex()!r}")
 
 
 @dataclass
@@ -153,14 +163,6 @@ class Node:
         if esh_length > 255:
             raise ValueError(f"an ESH of {len(nsaps)} NSAPs would be {esh_length} octets, "
                              "over 255")
-        # Nor may an IS hold a forwarding entry it could not put in an RD.
-        for fe in config.forwarding_table:
-            if len(fe.next_is_snpa) != SNPA_LEN:
-                raise ValueError(f"a forwarding SNPA must be {SNPA_LEN} octets, "
-                                 f"got {fe.next_is_snpa.hex()!r}")
-            if address_fault(_NSAP_OR_EMPTY, fe.next_is_net, LENIENT) is not None:
-                raise ValueError(f"a forwarding NET must be {_NSAP_OR_EMPTY.value}, "
-                                 f"got {fe.next_is_net.hex()!r}")
         self.config = config
         self.rib = Rib(pool)
         self.ct = config.configuration_timer

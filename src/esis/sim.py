@@ -19,8 +19,9 @@ simulator owns the `EntryPool` of every node's RIB, so the receivers of a
 hello share one frozen RIB entry, rendered once, and the pool holds one time
 step's entries. A RIB event is the entry itself, and one renderer logs
 either entry class by its `line`. Time never runs backwards: a negative
-latency is refused, and scheduling before `now` is an error. The log is a
-pure function of the scenario and seed.
+latency is refused, and scheduling before `now` is an error. Up front,
+`add_node` refuses a taken SNPA and `inject_clnp` an address outside 1..20
+octets. The log is a pure function of the scenario and seed.
 `Simulator.log` is a list, but only its `append` is ever called, so any
 object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .engine import (AddressAssigned, Frame, Node, NodeConfig, RedirectIssued, TimerSet,
                      decode_payload)
-from .pdu import SNPA_LEN, DiscardReason, ValidationProfile
+from .pdu import MAX_NSAP_LEN, SNPA_LEN, DiscardReason, ValidationProfile
 from .rib import EntryPool, RedirectEntry, RibEntry
 
 
@@ -86,6 +87,7 @@ class Simulator:
         self.now = 0
         self.log: list[str] = []
         self.nodes: dict[str, _SimNode] = {}
+        self._snpas: set[bytes] = set()  # the SNPA of each node in `nodes`
         self._groups: dict[bytes, list[_SimNode]] = {}
         self._decoded: dict[tuple[int, int | None], _Decodes] = {}  # see _deliver
         self.rib_entries = EntryPool()  # shared by every node's RIB
@@ -95,12 +97,15 @@ class Simulator:
     def add_node(self, name: str, config: NodeConfig, start: int = 0) -> Node:
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name}")
+        if config.snpa in self._snpas:
+            raise ValueError(f"duplicate snpa {config.snpa.hex()}")
         profile = config.validation_profile
         if (decodes := self._decoded.get(profile.nsap_rule)) is None:
             decodes = self._decoded[profile.nsap_rule] = _Decodes(profile)
         sn = _SimNode(name, Node(config, self.rib_entries), decodes)
         self._set_timer(sn, start)
         self.nodes[name] = sn
+        self._snpas.add(config.snpa)
         for destination in sn.node.listens_to():
             self._groups.setdefault(destination, []).append(sn)
         return sn.node
@@ -131,6 +136,9 @@ class Simulator:
 
     def inject_clnp(self, at: int, from_node: str, source_nsap: bytes,
                     dest_nsap: bytes) -> None:
+        if not (0 < len(source_nsap) <= MAX_NSAP_LEN and 0 < len(dest_nsap) <= MAX_NSAP_LEN):
+            raise ValueError(f"CLNP addresses must be NSAPs of length 1..{MAX_NSAP_LEN}, got "
+                             f"source {source_nsap.hex()!r} and destination {dest_nsap.hex()!r}")
         self._schedule(at, Simulator._send_clnp, self._require_node(from_node),
                        (source_nsap, dest_nsap))
 

@@ -8,7 +8,7 @@ import pytest
 from esis.checksum import CSUM_POS
 from esis.cli import _FIXED_FIELDS, main
 from esis.pdu import FIXED_LEN, OPTION_RULES, PduType
-from esis.scenario import ScenarioError, parse_scenario
+from esis.scenario import ScenarioError, build_simulator, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 NSAP_HEX = "49" + "00" * 19
@@ -141,8 +141,10 @@ def test_parser_rejects_duplicates():
     base = "node A role=es snpa=020000000001\n"
     with pytest.raises(ScenarioError, match="duplicate node name"):
         parse_scenario(base + "node A role=es snpa=020000000002\n")
-    with pytest.raises(ScenarioError, match="duplicate snpa"):
-        parse_scenario(base + "node B role=es snpa=020000000001\n")
+    # `add_node` owns the SNPA rule, so only a built scenario refuses it.
+    taken = parse_scenario(base + "node B role=es snpa=020000000001\n")
+    with pytest.raises(ScenarioError, match="^line 2: duplicate snpa 020000000001$"):
+        build_simulator(taken)
 
 
 def test_parser_rejects_unknown_statement():
@@ -151,8 +153,9 @@ def test_parser_rejects_unknown_statement():
 
 
 def test_parser_requires_is_net():
-    with pytest.raises(ScenarioError, match="net="):
-        parse_scenario("node R role=is snpa=020000000001\n")
+    sc = parse_scenario("node R role=is snpa=020000000001\n")
+    with pytest.raises(ScenarioError, match="^line 1: an intermediate system needs a local NET$"):
+        build_simulator(sc)
 
 
 def test_parser_action_unknown_node():
@@ -214,8 +217,8 @@ def test_parser_shares_one_value_per_distinct_at_token():
     assert again.source_nsap == sends[0].source_nsap
     assert again.source_nsap is not sends[0].source_nsap
     # A bad token never enters the table, so its error names its own line.
-    bad = "\n".join(text.splitlines()[:4] + [f"at 9 sendclnp ES1 {nsaps[1]} {LONG_NSAP_HEX}"])
-    with pytest.raises(ScenarioError, match="line 5: destination nsap must be an NSAP"):
+    bad = "\n".join(text.splitlines()[:4] + [f"at 9 sendclnp ES1 {nsaps[1]} 4x"])
+    with pytest.raises(ScenarioError, match="^line 5: bad hex for destination nsap: '4x'$"):
         parse_scenario(bad)
 
 
@@ -230,8 +233,8 @@ def test_parser_shares_one_value_per_distinct_at_token():
     ("seed 3 junk", "seed takes exactly one value"),
     ("until 2 x", "until takes exactly one value"),
     ("drop", "drop ordinal takes exactly one value"),
-    ("node B role=es snpa=020000000002 ct=0", "ct must be ≥ 1"),
-    ("node B role=es snpa=020000000002 multiplier=1", "multiplier must be ≥ 2"),
+    ("node B role=es snpa=020000000002 ct=0", "configuration timer must be > 0"),
+    ("node B role=es snpa=020000000002 multiplier=1", "holding multiplier must be ≥ 2"),
     ("node B role=es snpa=020000000002 start=-1", "start must be ≥ 0"),
     ("until -1", "until must be ≥ 0"),
     ("drop 0", "drop ordinal must be ≥ 1"),
@@ -255,14 +258,18 @@ def test_parser_shares_one_value_per_distinct_at_token():
     ("node B role=es snpa=020000000002 nsap=4:900", "bad hex for nsap: '4:900'"),
     ("at 1 reboot A", "unknown action 'reboot'"),
     (f"node B role=es snpa=020000000002 nsap={LONG_NSAP_HEX}",
-     f"nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
-    ("node R role=is snpa=020000000002 net=", "net must be an NSAP of length 1..20, got ''"),
-    ("node B role=es snpa=0203", "snpa must be an SNPA of 6 octets, got '0203'"),
-    ("forward A prefix=49 net=48ff snpa=0203", "snpa must be an SNPA of 6 octets, got '0203'"),
+     f"a local NSAP or NET must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+    ("node R role=is snpa=020000000002 net=",
+     "a local NSAP or NET must be an NSAP of length 1..20, got ''"),
+    ("node B role=es snpa=0203", "snpa must be 6 octets, got '0203'"),
+    ("forward A prefix=49 net=48ff snpa=0203", "a forwarding SNPA must be 6 octets, got '0203'"),
     (f"forward A prefix=49 net={LONG_NSAP_HEX} snpa=020000000003",
      f"or an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),  # net= may also be empty
-    (f"at 1 sendclnp A 4900 {LONG_NSAP_HEX}",
-     f"destination nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+    (f"at 1 sendclnp A 4900 {LONG_NSAP_HEX}", "CLNP addresses must be NSAPs of length "
+     f"1..20, got source '4900' and destination '{LONG_NSAP_HEX}'"),
+    ("at 1 sendclnp A 4x 4900", "bad hex for source nsap: '4x'"),
+    ("node B role=es snpa=020000000001", "duplicate snpa 020000000001"),
+    ("node R role=is snpa=020000000002", "an intermediate system needs a local NET"),
     ("node", "node needs a name"),
     ("node B snpa=020000000002", "node needs role="),
     ("node B role=es", "node needs snpa="),
@@ -276,7 +283,7 @@ def test_parser_shares_one_value_per_distinct_at_token():
     ("forward A prefix=49 net=48ff snpa=020000000003",
      "forward needs an is node, 'A' is an es node"),
     (f"forward A prefix=49 net={LONG_NSAP_HEX} snpa=020000000003",
-     f"net must be empty or an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+     f"a forwarding NET must be empty or an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
     # Only nsap= may repeat: a second value of any other key is refused,
     # not taken in place of the first.
     ("node B role=es snpa=020000000002 nsap=4900 role=is net=49ff",
@@ -286,10 +293,12 @@ def test_parser_shares_one_value_per_distinct_at_token():
      "forward key prefix= given twice"),
 ])
 def test_run_rejects_bad_values(capsys, tmp_path, line, msg):
+    # The parser refuses syntax and names; a value the API owns is refused,
+    # in its owner's words, when the scenario is built.
     bad = tmp_path / "bad.scn"
     bad.write_text(f"node A role=es snpa=020000000001\n{line}\n")
     with pytest.raises(ScenarioError, match=msg):
-        parse_scenario(bad.read_text())
+        build_simulator(parse_scenario(bad.read_text()))
     code, out, err = run_cli(capsys, "run", str(bad))
     assert code == 2 and out == ""
     assert err.startswith("error: line 2: ") and msg in err
@@ -449,14 +458,15 @@ def test_fixed_fields_follow_the_wire_layout():
      "--until must be ≥ 0, got -1"),
     ("node A role=es snpa=020000000001 bogus=1\n", [], "line 1: unknown node key 'bogus'"),
     (f"node A role=es snpa=020000000001 nsap={LONG_NSAP_HEX}\n", [],
-     f"line 1: nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+     f"line 1: a local NSAP or NET must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
     ("node R role=is snpa=020000000001 net=\n", [],
-     "line 1: net must be an NSAP of length 1..20, got ''"),
+     "line 1: a local NSAP or NET must be an NSAP of length 1..20, got ''"),
     (f"node A role=es snpa=020000000001\nat 1 sendclnp A 4900 {LONG_NSAP_HEX}\n", [],
-     f"line 2: destination nsap must be an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+     "line 2: CLNP addresses must be NSAPs of length 1..20, got source '4900' and "
+     f"destination '{LONG_NSAP_HEX}'"),
     # Past the parser, but its ESH would not fit: once an empty log and an error at t=0.
     ("seed 1\nnode A role=es snpa=020000000001 " + f"nsap={NSAP_HEX} " * 12 + "\n", [],
-     "line 2: node A: an ESH of 12 NSAPs would be 262 octets, over 255"),
+     "line 2: an ESH of 12 NSAPs would be 262 octets, over 255"),
 ])
 def test_run_rejected_before_output_opens_no_log(capsys, tmp_path, scenario, argv, msg):
     scn = tmp_path / "s.scn"

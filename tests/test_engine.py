@@ -72,17 +72,17 @@ def test_node_refuses_a_config_it_cannot_run(kw, msg):
         Node(NodeConfig(**config))
 
 
-@pytest.mark.parametrize("entry, msg", [
-    (ForwardingEntry(b"\x50", IS_NET, b"\x02\x00\x00\x00\x09"),
-     "a forwarding SNPA must be 6 octets, got '0200000009'"),
-    (ForwardingEntry(b"\x50", bytes(21), ES2_SNPA),
+@pytest.mark.parametrize("net, snpa, msg", [
+    (IS_NET, b"\x02\x00\x00\x00\x09", "a forwarding SNPA must be 6 octets, got '0200000009'"),
+    (bytes(21), ES2_SNPA,
      "a forwarding NET must be empty or an NSAP of length 1..20, got '" + "00" * 21 + "'"),
 ], ids=["5-octet-snpa", "21-octet-net"])
-def test_is_refuses_a_forwarding_entry_it_could_not_redirect_through(entry, msg):
-    # The scenario parser refuses both on a `forward` line; built through the
-    # API, either would stop the run at the first CLNP frame forwarded through it.
+def test_is_refuses_a_forwarding_entry_it_could_not_redirect_through(net, snpa, msg):
+    # The entry itself refuses, when it is built: in an IS's table, either
+    # would stop the run at the first CLNP frame forwarded through it.
     with pytest.raises(ValueError, match=re.escape(msg)):
-        make_is(forwarding_table=(ForwardingEntry(b"\x49", IS_NET, ES2_SNPA), entry))
+        ForwardingEntry(b"\x50", net, snpa)
+    assert ForwardingEntry(b"\x50", b"", ES2_SNPA).next_is_net == b""  # an empty NET is kept
 
 
 def test_node_whose_esh_is_255_octets_sends_it():

@@ -2,8 +2,9 @@
 private name it defines at module level is read in it, no module uses
 a process-wide cache from functools or starts a module-level empty
 container that could become one, no function on the frame path reads
-an enum member off its class, and the package and its tests import
-nothing beyond the standard library, pytest and hypothesis."""
+an enum member off its class, the scenario module leaves value rules to
+the API, and the package and its tests import nothing beyond the standard
+library, pytest and hypothesis."""
 
 import ast
 import enum
@@ -260,6 +261,54 @@ def test_frame_path_reads_no_enum_member_off_its_class(module):
     mod = importlib.import_module(f"esis.{module}")
     assert enum_member_reads((SRC / f"{module}.py").read_text(encoding="utf-8"),
                              vars(mod)) == []
+
+
+LINE_OWNERS = {"parse_scenario", "build_simulator"}
+API_RULE_NAMES = {"address_fault", "validate_nsap", "Part", "SNPA_LEN", "MAX_NSAP_LEN", "LENIENT"}
+
+
+def scenario_rule_leaks(source: str) -> list[str]:
+    """`ScenarioError` built outside the top-level functions of LINE_OWNERS,
+    and every name, attribute or import of the codec's address rules: the
+    API objects own the value rules, and each phase gives a refusal its
+    line in one place."""
+    found = []
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ScenarioError" and owner not in LINE_OWNERS):
+                found.append((node.lineno, f"ScenarioError in {owner} (line {node.lineno})"))
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(node.lineno, f"{name} (line {node.lineno})") for name in names
+                      if name in API_RULE_NAMES]
+    return [text for _, text in sorted(found)]
+
+
+def test_checker_finds_scenario_rule_leaks():
+    assert scenario_rule_leaks(
+        "from .pdu import LENIENT, Part as P, ValidationProfile\n"
+        "def _hex(lineno):\n    raise ScenarioError(lineno, 'x')\n"
+        "def parse_scenario(text):\n    raise ScenarioError(1, pdu.MAX_NSAP_LEN)\n"
+        "def build_simulator(sc):\n    def inner():\n        raise ScenarioError(2, SNPA_LEN)\n"
+        "E = ScenarioError(3, address_fault)\nclass A:\n    x = ScenarioError(4, 'z')\n") == [
+        "LENIENT (line 1)", "Part (line 1)", "ScenarioError in _hex (line 3)",
+        "MAX_NSAP_LEN (line 5)", "SNPA_LEN (line 8)", "ScenarioError in None (line 9)",
+        "address_fault (line 9)", "ScenarioError in A (line 11)"]
+    assert scenario_rule_leaks("def build_simulator(sc):\n    raise ScenarioError(1, 'x')\n") == []
+
+
+def test_scenario_leaves_value_rules_to_the_api():
+    # The parser reads syntax and names; an address's length is the API's to
+    # refuse, and parse_scenario and build_simulator each give its line.
+    assert scenario_rule_leaks((SRC / "scenario.py").read_text(encoding="utf-8")) == []
 
 
 FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}

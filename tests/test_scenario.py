@@ -58,6 +58,16 @@ def test_at_actions_keep_file_order_within_one_time():
     assert sends == ["t=5 node=ES2", "t=5 node=ES3", "t=5 node=ES1"]
 
 
+def test_a_parse_fault_is_reported_before_an_api_refusal_on_an_earlier_line():
+    # Line 4's 3-octet SNPA is refused by `Node` when the scenario is built,
+    # so the parser's refusal of line 5 comes first.
+    text = NODES + "node B role=es snpa=020000\nlatency -1\n"
+    with pytest.raises(ScenarioError, match="^line 5: latency must be ≥ 0, got -1$"):
+        parse_scenario(text)
+    with pytest.raises(ScenarioError, match="^line 4: snpa must be 6 octets, got '020000'$"):
+        build_simulator(parse_scenario(NODES + "node B role=es snpa=020000\nlatency 0\n"))
+
+
 def test_a_second_corrupt_rule_for_one_ordinal_is_an_error(capsys, tmp_path):
     text = NODES + "corrupt 3 1 ff\ncorrupt 4 0 00\ncorrupt 3 2 00\n"
     with pytest.raises(ScenarioError, match="line 6: duplicate corrupt ordinal 3"):

@@ -282,6 +282,35 @@ def test_duplicate_node_name_rejected():
         sim.add_node("A", es_config(S2, NSAP2))
 
 
+def test_add_node_refuses_a_taken_snpa():
+    # A first node may take a group address as its SNPA; a second node with
+    # that SNPA, or any taken one, is refused and changes nothing.
+    sim = Simulator()
+    sim.add_node("A", es_config(ALL_ES, NSAP1))
+    sim.add_node("B", es_config(S1, NSAP2))
+    groups = {dest: list(receivers) for dest, receivers in sim._groups.items()}
+    for snpa in (ALL_ES, S1):
+        with pytest.raises(ValueError, match=f"^duplicate snpa {snpa.hex()}$"):
+            sim.add_node("C", es_config(snpa, NSAP2))
+        assert list(sim.nodes) == ["A", "B"]
+        assert {dest: list(receivers) for dest, receivers in sim._groups.items()} == groups
+    sim.add_node("C", es_config(S2, NSAP2))  # a free SNPA is still accepted
+
+
+@pytest.mark.parametrize("length", [0, 21, 300])
+@pytest.mark.parametrize("side", ["source", "destination"])
+def test_inject_clnp_refuses_an_address_a_receiver_could_not_read(side, length):
+    # Refused when injected, before anything is scheduled: once a 300-octet
+    # address raised OverflowError at its time, and a 21-octet one was sent
+    # as a stub that every receiver ignored.
+    sim = three_node_sim(start=1000)
+    addresses = {"source": NSAP1, "destination": NSAP2} | {side: b"\x49" * length}
+    with pytest.raises(ValueError, match="^CLNP addresses must be NSAPs of length 1..20, "
+                                         f"got source .*'{'49' * length}'"):
+        sim.inject_clnp(3, "ES1", addresses["source"], addresses["destination"])
+    assert sim.run_until(10) == []
+
+
 def test_corrupted_hello_is_discarded_not_recorded():
     # Corrupt an address octet of ES1's first hello toward the IS group.
     # IS1 must discard it on checksum grounds and learn nothing from it;
