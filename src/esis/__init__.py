@@ -10,9 +10,8 @@ from importlib import import_module
 # Home submodule -> the names the package exports from it.
 _EXPORTS = {
     "checksum": "ChecksumVerdict HeaderTooShort generate_checksum verify_checksum",
-    "pdu": "ATN AaBody DiscardKind DiscardReason EshBody InvariantViolation IshBody LENIENT "
-           "Option OptionCode Pdu PduType ProtocolDetail RaBody RdBody ValidationProfile "
-           "decode encode validate_nsap",
+    "pdu": "ATN AaBody DiscardReason EshBody InvariantViolation IshBody LENIENT Option "
+           "OptionCode Pdu PduType RaBody RdBody ValidationProfile decode encode validate_nsap",
     "rib": "EntryKind HopKind InsertResult NextHop RedirectEntry Rib RibEntry",
     "engine": "ALL_ES ALL_IS BROADCAST Frame MinimalClnpPdu Node NodeConfig Role",
     "sim": "FaultPlan Simulator",

@@ -27,8 +27,8 @@ from typing import NamedTuple
 from . import pdu as pdu_mod
 from .checksum import generate_checksum
 from .pdu import (AaBody, DiscardReason, EshBody, FIXED_LEN, IshBody, LENIENT, NLPID_CLNP,
-                  NLPID_ESIS, OptionCode, Part, Pdu, ProtocolDetail, RaBody, RdBody,
-                  SNPA_LEN, ValidationProfile, address_fault, protocol_error)
+                  NLPID_ESIS, OptionCode, Part, Pdu, RaBody, RdBody, SNPA_LEN,
+                  ValidationProfile, address_fault)
 from .rib import EntryKind, EntryPool, InsertResult, RedirectEntry, Rib, RibEntry
 
 ALL_ES = bytes.fromhex("09002b000004")
@@ -74,7 +74,7 @@ def decode_clnp(payload: bytes) -> MinimalClnpPdu | None:
     if not payload or payload[0] != NLPID_CLNP:
         return None
     read = pdu_mod.read_parts(payload, 1, len(payload), _CLNP_PARTS, LENIENT)
-    return None if type(read) is ProtocolDetail else _new(MinimalClnpPdu, read[0])
+    return None if type(read) is DiscardReason else _new(MinimalClnpPdu, read[0])
 
 
 def decode_payload(payload: bytes, profile: ValidationProfile
@@ -87,13 +87,18 @@ def decode_payload(payload: bytes, profile: ValidationProfile
 
 @dataclass(frozen=True, slots=True)
 class ForwardingEntry:
-    """A static route of an IS. It refuses what an RD could not carry: an
-    SNPA not of 6 octets, or a NET neither empty nor of 1..20 octets."""
+    """A static route of an IS. It refuses a prefix that could never match,
+    one neither empty (a default route) nor of 1..20 octets, and what an RD
+    could not carry: an SNPA not of 6 octets, or a NET neither empty nor of
+    1..20 octets."""
     prefix: bytes
     next_is_net: bytes
     next_is_snpa: bytes
 
     def __post_init__(self) -> None:
+        if address_fault(_NSAP_OR_EMPTY, self.prefix, LENIENT) is not None:
+            raise ValueError(f"a forwarding prefix must be {_NSAP_OR_EMPTY.value}, "
+                             f"got {self.prefix.hex()!r}")
         if len(self.next_is_snpa) != SNPA_LEN:
             raise ValueError(f"a forwarding SNPA must be {SNPA_LEN} octets, "
                              f"got {self.next_is_snpa.hex()!r}")
@@ -132,7 +137,7 @@ class TimerSet(NamedTuple):
 EngineEvent = (Frame | RibEntry | RedirectEntry | DiscardReason | AddressAssigned
                | RedirectIssued | TimerSet)
 
-_ROLE_MISMATCH = protocol_error(ProtocolDetail.ROLE_MISMATCH)
+_ROLE_MISMATCH = DiscardReason.ROLE_MISMATCH
 _ESCT = OptionCode.ESCT
 _NSAP, _NSAP_OR_EMPTY = Part.NSAP, Part.NSAP_OR_EMPTY
 _INTERMEDIATE_SYSTEM = Role.INTERMEDIATE_SYSTEM

@@ -9,9 +9,11 @@ length indicator.
 
 `decode` runs the ES-IS processing map in order and stops at the first
 failure: NLPID, fixed-part length, version, length indicator, checksum
-(ISO 8473 Annex C), reserved bits, type, address part, options. Address
-rules run in place on the length and first octets, with no helper call per
-address; each option goes through `_option_fault`, which `encode` shares.
+(ISO 8473 Annex C), reserved bits, type, address part, options. Each
+failure is one `DiscardReason` member, whose value is the text its DISCARD
+line shows. Address rules run in place on the length and first octets,
+with no helper call per address; each option goes through `_option_fault`,
+which `encode` shares.
 """
 
 from __future__ import annotations
@@ -71,54 +73,28 @@ OPTION_RULES: dict[int, OptionRule] = {
 }
 
 
-class ProtocolDetail(enum.Enum):
-    BAD_HEADER_LENGTH = "BadHeaderLength"
-    NONZERO_RESERVED = "NonzeroReserved"
-    UNKNOWN_TYPE = "UnknownType"
-    ZERO_ADDRESS_COUNT = "ZeroAddressCount"
-    BAD_ADDRESS_LENGTH = "BadAddressLength"
-    BAD_ADDRESS_VALUE = "BadAddressValue"
-    BAD_OPTION_CODE = "BadOptionCode"
-    BAD_OPTION_LENGTH = "BadOptionLength"
-    BAD_OPTION_VALUE = "BadOptionValue"
-    DUPLICATE_OPTION = "DuplicateOption"
-    OPTION_ILLEGAL_FOR_TYPE = "OptionIllegalForType"
-    TRUNCATED_PDU = "TruncatedPdu"
-    # Engine-level outcome: a PDU type the local role never accepts.
-    ROLE_MISMATCH = "RoleMismatch"
-
-
-class DiscardKind(enum.Enum):
+class DiscardReason(str, enum.Enum):
+    """Why a frame was discarded, in processing-map order; the value is the
+    text a DISCARD line shows. A str, so it hashes and formats in C."""
+    __str__ = str.__str__
+    __format__ = str.__format__
     NOT_ES_IS = "NotEsIs"
     WRONG_VERSION = "WrongVersion"
     CHECKSUM_ERROR = "ChecksumError"
-    PROTOCOL_ERROR = "ProtocolError"
-
-
-_PROTOCOL_ERROR = DiscardKind.PROTOCOL_ERROR
-
-
-@dataclass(frozen=True, slots=True)
-class DiscardReason:
-    kind: DiscardKind
-    detail: ProtocolDetail | None = None
-
-    def __str__(self) -> str:
-        if self.kind is _PROTOCOL_ERROR:
-            return f"ProtocolError({self.detail.value})"
-        return self.kind.value
-
-
-NOT_ES_IS = DiscardReason(DiscardKind.NOT_ES_IS)
-WRONG_VERSION = DiscardReason(DiscardKind.WRONG_VERSION)
-CHECKSUM_ERROR = DiscardReason(DiscardKind.CHECKSUM_ERROR)
-_PROTOCOL_ERRORS = {detail: DiscardReason(_PROTOCOL_ERROR, detail)
-                    for detail in ProtocolDetail}
-
-
-def protocol_error(detail: ProtocolDetail) -> DiscardReason:
-    """The one prebuilt discard for `detail`: decoding allocates none."""
-    return _PROTOCOL_ERRORS[detail]
+    BAD_HEADER_LENGTH = "ProtocolError(BadHeaderLength)"
+    NONZERO_RESERVED = "ProtocolError(NonzeroReserved)"
+    UNKNOWN_TYPE = "ProtocolError(UnknownType)"
+    ZERO_ADDRESS_COUNT = "ProtocolError(ZeroAddressCount)"
+    BAD_ADDRESS_LENGTH = "ProtocolError(BadAddressLength)"
+    BAD_ADDRESS_VALUE = "ProtocolError(BadAddressValue)"
+    BAD_OPTION_CODE = "ProtocolError(BadOptionCode)"
+    BAD_OPTION_LENGTH = "ProtocolError(BadOptionLength)"
+    BAD_OPTION_VALUE = "ProtocolError(BadOptionValue)"
+    DUPLICATE_OPTION = "ProtocolError(DuplicateOption)"
+    OPTION_ILLEGAL_FOR_TYPE = "ProtocolError(OptionIllegalForType)"
+    TRUNCATED_PDU = "ProtocolError(TruncatedPdu)"
+    # Engine-level outcome: a PDU type the local role never accepts.
+    ROLE_MISMATCH = "ProtocolError(RoleMismatch)"
 
 
 class InvariantViolation(ValueError):
@@ -142,7 +118,7 @@ LENIENT = ValidationProfile()
 ATN = ValidationProfile(atn=True)
 
 
-def validate_nsap(addr: bytes, profile: ValidationProfile = LENIENT) -> ProtocolDetail | None:
+def validate_nsap(addr: bytes, profile: ValidationProfile = LENIENT) -> DiscardReason | None:
     """Return None when the address passes the profile, else the failure."""
     return address_fault(Part.NSAP, addr, profile)
 
@@ -208,9 +184,13 @@ PDU_SPECS: dict[type, PduSpec] = {
     AaBody: PduSpec(PduType.AA, (("net", Part.NSAP),)),
 }
 
-# The codec's hot paths compare against these names: reading an Enum member
+# The codec's hot paths test and return these names: reading an Enum member
 # off its class costs about 0.1 us on Python 3.11, several times per address.
 _NSAP_LIST, _, _SNPA, _NSAP_OR_EMPTY = Part
+(_NOT_ES_IS, _WRONG_VERSION, _CHECKSUM_ERROR, _BAD_HEADER_LENGTH, _NONZERO_RESERVED,
+ _UNKNOWN_TYPE, _ZERO_ADDRESS_COUNT, _BAD_ADDRESS_LENGTH, _BAD_ADDRESS_VALUE, _BAD_OPTION_CODE,
+ _BAD_OPTION_LENGTH, _BAD_OPTION_VALUE, _DUPLICATE_OPTION, _OPTION_ILLEGAL_FOR_TYPE,
+ _TRUNCATED_PDU, _) = DiscardReason
 _INVALID = ChecksumVerdict.INVALID
 
 _BODY_CLASS: dict[PduType, type] = {spec.pdu_type: cls for cls, spec in PDU_SPECS.items()}
@@ -232,22 +212,22 @@ class Pdu:
 
 
 def address_fault(part: Part, addr: bytes,
-                  profile: ValidationProfile) -> ProtocolDetail | None:
+                  profile: ValidationProfile) -> DiscardReason | None:
     """The rule of `part` that `addr` breaks under `profile`, or None."""
     if part is _SNPA:
-        return None if len(addr) == SNPA_LEN else ProtocolDetail.BAD_ADDRESS_LENGTH
+        return None if len(addr) == SNPA_LEN else _BAD_ADDRESS_LENGTH
     if part is _NSAP_OR_EMPTY and not addr:
         return None
     shortest, afi = profile.nsap_rule
     if not shortest <= len(addr) <= MAX_NSAP_LEN:
-        return ProtocolDetail.BAD_ADDRESS_LENGTH
+        return _BAD_ADDRESS_LENGTH
     if afi is not None and addr[0] != afi:
-        return ProtocolDetail.BAD_ADDRESS_VALUE
+        return _BAD_ADDRESS_VALUE
     return None
 
 
 def read_parts(buf: bytes, off: int, end: int, parts: tuple[tuple[str, Part], ...],
-               profile: ValidationProfile) -> tuple[list, int] | ProtocolDetail:
+               profile: ValidationProfile) -> tuple[list, int] | DiscardReason:
     """The {length, value} fields `parts` describes, read from `buf[off:end]`
     (an NSAP_LIST as a tuple, an empty NSAP_OR_EMPTY as None), with the
     offset past the last; or the first rule broken, under `profile`. Each
@@ -258,60 +238,60 @@ def read_parts(buf: bytes, off: int, end: int, parts: tuple[tuple[str, Part], ..
         count = 1
         if part is _NSAP_LIST:
             if off >= end:
-                return ProtocolDetail.TRUNCATED_PDU
+                return _TRUNCATED_PDU
             count = buf[off]
             off += 1
             if count == 0:
-                return ProtocolDetail.ZERO_ADDRESS_COUNT
+                return _ZERO_ADDRESS_COUNT
         addrs = []
         for _ in range(count):
             if off >= end:
-                return ProtocolDetail.TRUNCATED_PDU
+                return _TRUNCATED_PDU
             alen = buf[off]
             off += 1 + alen
             if off > end:
-                return ProtocolDetail.TRUNCATED_PDU
+                return _TRUNCATED_PDU
             if part is _SNPA:
                 if alen != SNPA_LEN:
-                    return ProtocolDetail.BAD_ADDRESS_LENGTH
+                    return _BAD_ADDRESS_LENGTH
             elif alen or part is not _NSAP_OR_EMPTY:
                 if not shortest <= alen <= MAX_NSAP_LEN:
-                    return ProtocolDetail.BAD_ADDRESS_LENGTH
+                    return _BAD_ADDRESS_LENGTH
                 if afi is not None and buf[off - alen] != afi:
-                    return ProtocolDetail.BAD_ADDRESS_VALUE
+                    return _BAD_ADDRESS_VALUE
             addrs.append(buf[off - alen:off])
         fields.append(tuple(addrs) if part is _NSAP_LIST else addrs[0] or None)
     return fields, off
 
 
 def _option_fault(code: int, value: bytes, pdu_type: PduType,
-                  seen: set[int]) -> ProtocolDetail | None:
+                  seen: set[int]) -> DiscardReason | None:
     """The first option rule broken, checked in decode's order, or None.
 
     A code that passes the duplicate check is added to `seen`.
     """
     rule = OPTION_RULES.get(code)
     if rule is None:
-        return ProtocolDetail.BAD_OPTION_CODE
+        return _BAD_OPTION_CODE
     if pdu_type not in rule.pdu_types:
-        return ProtocolDetail.OPTION_ILLEGAL_FOR_TYPE
+        return _OPTION_ILLEGAL_FOR_TYPE
     if code in seen:
-        return ProtocolDetail.DUPLICATE_OPTION
+        return _DUPLICATE_OPTION
     seen.add(code)
     if len(value) not in rule.lengths:
-        return ProtocolDetail.BAD_OPTION_LENGTH
+        return _BAD_OPTION_LENGTH
     if rule.value_ok is not None and not rule.value_ok(value):
-        return ProtocolDetail.BAD_OPTION_VALUE
+        return _BAD_OPTION_VALUE
     return None
 
 
-def _option_error(fault: ProtocolDetail, code: int, pdu_type: PduType) -> str:
-    if fault is ProtocolDetail.BAD_OPTION_CODE:
+def _option_error(fault: DiscardReason, code: int, pdu_type: PduType) -> str:
+    if fault is DiscardReason.BAD_OPTION_CODE:
         return f"unknown option code {code}"
     name = OptionCode(code).name
-    if fault is ProtocolDetail.OPTION_ILLEGAL_FOR_TYPE:
+    if fault is DiscardReason.OPTION_ILLEGAL_FOR_TYPE:
         return f"option {name} not legal on {pdu_type.name}"
-    if fault is ProtocolDetail.DUPLICATE_OPTION:
+    if fault is DiscardReason.DUPLICATE_OPTION:
         return f"duplicate option {name}"
     return f"{name} value must be {OPTION_RULES[code].text}"
 
@@ -369,50 +349,50 @@ def decode(raw: bytes, profile: ValidationProfile = LENIENT) -> Pdu | DiscardRea
     the length indicator are ignored.
     """
     if len(raw) == 0:
-        return protocol_error(ProtocolDetail.TRUNCATED_PDU)
+        return _TRUNCATED_PDU
     if raw[0] != NLPID_ESIS:
-        return NOT_ES_IS
+        return _NOT_ES_IS
     if len(raw) < FIXED_LEN:
-        return protocol_error(ProtocolDetail.TRUNCATED_PDU)
+        return _TRUNCATED_PDU
     if raw[2] != VERSION:
-        return WRONG_VERSION
+        return _WRONG_VERSION
     li = raw[1]
     # The checksum is defined over length-indicator octets, so an unusable
     # length indicator has to be rejected before verification.
     if li < FIXED_LEN or li > len(raw):
-        return protocol_error(ProtocolDetail.BAD_HEADER_LENGTH)
+        return _BAD_HEADER_LENGTH
     header = raw[:li]
     if type(header) is not bytes:  # a bytearray's fields would not hash
         header = bytes(header)
     if verify_checksum(header) is _INVALID:
-        return CHECKSUM_ERROR
+        return _CHECKSUM_ERROR
     if header[3] != 0 or header[4] & 0xE0:
-        return protocol_error(ProtocolDetail.NONZERO_RESERVED)
+        return _NONZERO_RESERVED
     cls = _BODY_CLASS.get(header[4] & 0x1F)
     if cls is None:
-        return protocol_error(ProtocolDetail.UNKNOWN_TYPE)
+        return _UNKNOWN_TYPE
     pdu_type, parts = PDU_SPECS[cls]
     holding = (header[5] << 8) | header[6]
     checksum = (header[7], header[8])
 
     end = len(header)
     read = read_parts(header, FIXED_LEN, end, parts, profile)
-    if type(read) is ProtocolDetail:
-        return protocol_error(read)
+    if type(read) is DiscardReason:
+        return read
     fields, off = read
 
     opts: list[Option] = []
     seen: set[int] = set()
     while off < end:
         if off + 2 > end:
-            return protocol_error(ProtocolDetail.TRUNCATED_PDU)
+            return _TRUNCATED_PDU
         code, olen = header[off], header[off + 1]
         off += 2 + olen
         if off > end:
-            return protocol_error(ProtocolDetail.TRUNCATED_PDU)
+            return _TRUNCATED_PDU
         value = header[off - olen:off]
         fault = _option_fault(code, value, pdu_type, seen)
         if fault is not None:
-            return protocol_error(fault)
+            return fault
         opts.append(Option(code, value))
     return Pdu(cls(*fields), holding, tuple(opts), checksum)

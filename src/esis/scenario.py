@@ -30,9 +30,9 @@ time, one `bytes` per NSAP, the node's declared name, an interned kind).
 Every other value is refused by the API object it configures, in its words:
 addresses, `ct`, `multiplier` and an is node's `net=` by `Node`, a taken
 SNPA by `Simulator.add_node`, `sendclnp` NSAPs by `inject_clnp`, a forward
-`net=` or `snpa=` by `ForwardingEntry` as its line is parsed. Each phase
-gives a refusal its line, so a parse fault on a later line is reported
-before an API refusal on an earlier one.
+`prefix=`, `net=` or `snpa=` by `ForwardingEntry` as its line is parsed.
+Each phase gives a refusal its line, so a parse fault on a later line is
+reported before an API refusal on an earlier one.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ import time
 
 from esis.checksum import ChecksumVerdict, generate_checksum, verify_checksum
 from esis.engine import Role
-from esis.pdu import (DiscardKind, DiscardReason, EshBody, Pdu, ProtocolDetail,
-                      decode, encode)
+from esis.pdu import DiscardReason, EshBody, Pdu, decode, encode
 from esis.rib import EntryKind, HopKind, InsertResult, Rib
 from esis.scenario import build_simulator, load_scenario
 from helpers import exhaustive_checksum_pairs, random_header, random_pdu
@@ -87,28 +86,25 @@ def test_criterion_4_protocol_error_processing():
         raw += fixed_tail
         return generate_checksum(bytes(raw))
 
-    pe = lambda d: DiscardReason(DiscardKind.PROTOCOL_ERROR, d)
+    R = DiscardReason
     cases = [
-        ("NLPID 0x81", base[:1].replace(b"\x82", b"\x81") + base[1:],
-         DiscardReason(DiscardKind.NOT_ES_IS)),
-        ("version 2", patched(2, 2), DiscardReason(DiscardKind.WRONG_VERSION)),
-        ("reserved octet 1", patched(3, 1), pe(ProtocolDetail.NONZERO_RESERVED)),
-        ("reserved type bits", patched(4, 0x22), pe(ProtocolDetail.NONZERO_RESERVED)),
-        ("unknown type 3", patched(4, 3), pe(ProtocolDetail.UNKNOWN_TYPE)),
-        ("zero address count", patched(9, 0), pe(ProtocolDetail.ZERO_ADDRESS_COUNT)),
-        ("address length 0", built(bytes([1, 0])),
-         pe(ProtocolDetail.BAD_ADDRESS_LENGTH)),
-        ("address length 21", built(bytes([1, 21]) + bytes(21)),
-         pe(ProtocolDetail.BAD_ADDRESS_LENGTH)),
+        ("NLPID 0x81", base[:1].replace(b"\x82", b"\x81") + base[1:], R.NOT_ES_IS),
+        ("version 2", patched(2, 2), R.WRONG_VERSION),
+        ("reserved octet 1", patched(3, 1), R.NONZERO_RESERVED),
+        ("reserved type bits", patched(4, 0x22), R.NONZERO_RESERVED),
+        ("unknown type 3", patched(4, 3), R.UNKNOWN_TYPE),
+        ("zero address count", patched(9, 0), R.ZERO_ADDRESS_COUNT),
+        ("address length 0", built(bytes([1, 0])), R.BAD_ADDRESS_LENGTH),
+        ("address length 21", built(bytes([1, 21]) + bytes(21)), R.BAD_ADDRESS_LENGTH),
         ("ESCT on ESH", built(bytes([1, 20]) + nsap + bytes([0xC6, 2, 0, 30])),
-         pe(ProtocolDetail.OPTION_ILLEGAL_FOR_TYPE)),
+         R.OPTION_ILLEGAL_FOR_TYPE),
         ("duplicate priority", built(bytes([1, 20]) + nsap
                                      + bytes([0xCD, 1, 5, 0xCD, 1, 5])),
-         pe(ProtocolDetail.DUPLICATE_OPTION)),
-        ("truncated header", base[:6], pe(ProtocolDetail.TRUNCATED_PDU)),
+         R.DUPLICATE_OPTION),
+        ("truncated header", base[:6], R.TRUNCATED_PDU),
     ]
     for label, raw, expected in cases:
-        assert decode(raw) == expected, label
+        assert decode(raw) is expected, label
     report(4, f"{len(cases)} invalid-field injections each hit their exact reason")
 
 

@@ -284,6 +284,8 @@ def test_parser_shares_one_value_per_distinct_at_token():
      "forward needs an is node, 'A' is an es node"),
     (f"forward A prefix=49 net={LONG_NSAP_HEX} snpa=020000000003",
      f"a forwarding NET must be empty or an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
+    (f"forward A prefix={LONG_NSAP_HEX} net=48ff snpa=020000000003",
+     f"a forwarding prefix must be empty or an NSAP of length 1..20, got '{LONG_NSAP_HEX}'"),
     # Only nsap= may repeat: a second value of any other key is refused,
     # not taken in place of the first.
     ("node B role=es snpa=020000000002 nsap=4900 role=is net=49ff",

@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esis.checksum import generate_checksum
-from esis.pdu import (ATN, CHECKSUM_ERROR, LENIENT, NOT_ES_IS, WRONG_VERSION, AaBody,
-                      EshBody, IshBody, Option, Part, Pdu, ProtocolDetail, RaBody, RdBody,
-                      ValidationProfile, address_fault, decode, encode, protocol_error,
+from esis.pdu import (ATN, LENIENT, AaBody, DiscardReason, EshBody, IshBody, Option, Part,
+                      Pdu, RaBody, RdBody, ValidationProfile, address_fault, decode, encode,
                       read_parts, validate_nsap)
 from helpers import iterative_sums, random_pdu
 
@@ -41,28 +40,28 @@ def reference_decode(raw, profile):
     """decode's result for `raw`, one octet at a time, the rules written out."""
     octets = list(raw)
     if not octets:
-        return protocol_error(ProtocolDetail.TRUNCATED_PDU)
+        return DiscardReason.TRUNCATED_PDU
     if octets[0] != 0x82:
-        return NOT_ES_IS
+        return DiscardReason.NOT_ES_IS
     if len(octets) < 9:
-        return protocol_error(ProtocolDetail.TRUNCATED_PDU)
+        return DiscardReason.TRUNCATED_PDU
     if octets[2] != 1:
-        return WRONG_VERSION
+        return DiscardReason.WRONG_VERSION
     length = octets[1]
     if length < 9 or length > len(octets):
-        return protocol_error(ProtocolDetail.BAD_HEADER_LENGTH)
+        return DiscardReason.BAD_HEADER_LENGTH
     header = octets[:length]
     x, y = header[7], header[8]
     if (x, y) != (0, 0) and (x == 0 or y == 0 or iterative_sums(header) != (0, 0)):
-        return CHECKSUM_ERROR
+        return DiscardReason.CHECKSUM_ERROR
     if header[3] != 0 or header[4] >= 32:
-        return protocol_error(ProtocolDetail.NONZERO_RESERVED)
+        return DiscardReason.NONZERO_RESERVED
     if header[4] not in TYPES:
-        return protocol_error(ProtocolDetail.UNKNOWN_TYPE)
+        return DiscardReason.UNKNOWN_TYPE
     try:
         return read_body(header, header[4], profile)
     except Fault as fault:
-        return protocol_error(fault.args[0])
+        return fault.args[0]
 
 
 def read_body(header, type_code, profile):
@@ -71,24 +70,24 @@ def read_body(header, type_code, profile):
     def octet():
         nonlocal pos
         if pos >= len(header):
-            raise Fault(ProtocolDetail.TRUNCATED_PDU)
+            raise Fault(DiscardReason.TRUNCATED_PDU)
         pos += 1
         return header[pos - 1]
 
     def octet_string():
         n = octet()
         if pos + n > len(header):
-            raise Fault(ProtocolDetail.TRUNCATED_PDU)
+            raise Fault(DiscardReason.TRUNCATED_PDU)
         return [octet() for _ in range(n)]
 
     def nsap():
         addr = octet_string()
         if not 1 <= len(addr) <= 20:
-            raise Fault(ProtocolDetail.BAD_ADDRESS_LENGTH)
+            raise Fault(DiscardReason.BAD_ADDRESS_LENGTH)
         if profile.atn and len(addr) != 20:
-            raise Fault(ProtocolDetail.BAD_ADDRESS_LENGTH)
+            raise Fault(DiscardReason.BAD_ADDRESS_LENGTH)
         if profile.atn and addr[0] != profile.afi:
-            raise Fault(ProtocolDetail.BAD_ADDRESS_VALUE)
+            raise Fault(DiscardReason.BAD_ADDRESS_VALUE)
         return bytes(addr)
 
     fields = []
@@ -97,12 +96,12 @@ def read_body(header, type_code, profile):
         if shape == "list":
             count = octet()
             if count == 0:
-                raise Fault(ProtocolDetail.ZERO_ADDRESS_COUNT)
+                raise Fault(DiscardReason.ZERO_ADDRESS_COUNT)
             fields.append(tuple(nsap() for _ in range(count)))
         elif shape == "snpa":
             snpa = octet_string()
             if len(snpa) != 6:
-                raise Fault(ProtocolDetail.BAD_ADDRESS_LENGTH)
+                raise Fault(DiscardReason.BAD_ADDRESS_LENGTH)
             fields.append(bytes(snpa))
         elif shape == "net" and header[pos:pos + 1] == [0]:
             octet()
@@ -112,21 +111,21 @@ def read_body(header, type_code, profile):
     options, seen = [], []
     while pos < len(header):
         if pos + 2 > len(header):
-            raise Fault(ProtocolDetail.TRUNCATED_PDU)
+            raise Fault(DiscardReason.TRUNCATED_PDU)
         code = octet()
         value = octet_string()
         if code not in OPTIONS:
-            raise Fault(ProtocolDetail.BAD_OPTION_CODE)
+            raise Fault(DiscardReason.BAD_OPTION_CODE)
         types, lengths, value_ok = OPTIONS[code]
         if type_code not in types:
-            raise Fault(ProtocolDetail.OPTION_ILLEGAL_FOR_TYPE)
+            raise Fault(DiscardReason.OPTION_ILLEGAL_FOR_TYPE)
         if code in seen:
-            raise Fault(ProtocolDetail.DUPLICATE_OPTION)
+            raise Fault(DiscardReason.DUPLICATE_OPTION)
         seen.append(code)
         if len(value) not in lengths:
-            raise Fault(ProtocolDetail.BAD_OPTION_LENGTH)
+            raise Fault(DiscardReason.BAD_OPTION_LENGTH)
         if not value_ok(value):
-            raise Fault(ProtocolDetail.BAD_OPTION_VALUE)
+            raise Fault(DiscardReason.BAD_OPTION_VALUE)
         options.append(Option(code, bytes(value)))
     return Pdu(cls(*fields), holding_time=header[5] * 256 + header[6],
                options=tuple(options), checksum=(header[7], header[8]))
@@ -205,9 +204,8 @@ def test_the_frames_reach_every_verdict():
         raw = random_frame(rng, rng.choice(KINDS))
         seen |= {verdict(reference_decode(raw, profile)) for profile in PROFILES}
     wanted = {f"OK {name}" for name in ("ESH", "ISH", "RD", "RA", "AA")}
-    wanted |= {str(reason) for reason in (NOT_ES_IS, WRONG_VERSION, CHECKSUM_ERROR)}
-    wanted |= {str(protocol_error(detail)) for detail in ProtocolDetail
-               if detail is not ProtocolDetail.ROLE_MISMATCH}
+    wanted |= {str(reason) for reason in DiscardReason
+               if reason is not DiscardReason.ROLE_MISMATCH}
     assert wanted - seen == set()
 
 
@@ -216,13 +214,13 @@ def test_the_frames_reach_every_verdict():
 def expected_fault(part: Part, addr: bytes, profile: ValidationProfile):
     """ISO 9542's rule for one address field, written out per shape."""
     if part is Part.SNPA:
-        return None if len(addr) == 6 else ProtocolDetail.BAD_ADDRESS_LENGTH
+        return None if len(addr) == 6 else DiscardReason.BAD_ADDRESS_LENGTH
     if part is Part.NSAP_OR_EMPTY and not addr:
         return None
     if not 1 <= len(addr) <= 20 or (profile.atn and len(addr) != 20):
-        return ProtocolDetail.BAD_ADDRESS_LENGTH
+        return DiscardReason.BAD_ADDRESS_LENGTH
     if profile.atn and addr[0] != profile.afi:
-        return ProtocolDetail.BAD_ADDRESS_VALUE
+        return DiscardReason.BAD_ADDRESS_VALUE
     return None
 
 

@@ -12,8 +12,8 @@ from esis.engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, EngineEvent
                          ForwardingEntry, MinimalClnpPdu, Node, NodeConfig,
                          RedirectIssued, Role, TimerSet,
                          decode_clnp, decode_payload, encode_clnp)
-from esis.pdu import (ATN, CHECKSUM_ERROR, LENIENT, AaBody, DiscardReason, EshBody, IshBody,
-                      Option, OptionCode, Pdu, PduType, RaBody, RdBody, decode, encode)
+from esis.pdu import (ATN, LENIENT, AaBody, DiscardReason, EshBody, IshBody, Option,
+                      OptionCode, Pdu, PduType, RaBody, RdBody, decode, encode)
 from esis.rib import EntryKind, HopKind, RedirectEntry, RibEntry
 from helpers import random_nsap, random_pdu
 
@@ -83,6 +83,17 @@ def test_is_refuses_a_forwarding_entry_it_could_not_redirect_through(net, snpa, 
     with pytest.raises(ValueError, match=re.escape(msg)):
         ForwardingEntry(b"\x50", net, snpa)
     assert ForwardingEntry(b"\x50", b"", ES2_SNPA).next_is_net == b""  # an empty NET is kept
+
+
+def test_a_forwarding_prefix_that_could_never_match_is_refused():
+    # A destination is an NSAP of 1..20 octets, so a longer prefix is a route
+    # that never matches; an empty prefix is a default route, and is kept.
+    msg = "a forwarding prefix must be empty or an NSAP of length 1..20, got '" + "47" * 21 + "'"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        ForwardingEntry(b"\x47" * 21, IS_NET, ES2_SNPA)
+    assert ForwardingEntry(b"\x47" * 20, IS_NET, ES2_SNPA).prefix == b"\x47" * 20
+    default = ForwardingEntry(b"", IS_NET, ES2_SNPA)
+    assert make_is(forwarding_table=(default,))._longest_prefix(ES_NSAP) is default
 
 
 def test_node_whose_esh_is_255_octets_sends_it():
@@ -196,7 +207,7 @@ def test_corrupted_esh_discarded_rib_unchanged():
                                                      holding_time=60))))
     payload[10] ^= 0x01
     events = node.handle_frame(Frame(IS_SNPA, ES_SNPA, bytes(payload)), 0)
-    assert events == [CHECKSUM_ERROR]
+    assert events == [DiscardReason.CHECKSUM_ERROR]
     assert node.rib.num_of_entry == 0
 
 

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esis.checksum import generate_checksum
-from esis.pdu import (ATN, AaBody, DiscardKind, DiscardReason, EshBody,
-                      InvariantViolation, IshBody, LENIENT, Option, OptionCode,
-                      Pdu, PduType, ProtocolDetail, RaBody, RdBody,
-                      ValidationProfile, decode, encode, validate_nsap)
+from esis.pdu import (ATN, AaBody, DiscardReason, EshBody, InvariantViolation,
+                      IshBody, LENIENT, Option, OptionCode, Pdu, PduType, RaBody,
+                      RdBody, ValidationProfile, decode, encode, validate_nsap)
 from helpers import random_pdu
 
 NSAP = bytes(range(20))
@@ -74,8 +73,7 @@ def test_encode_invariant_violations(pdu, msg):
 def test_esh_whose_header_ends_before_its_count_octet_is_truncated():
     # A checksummed ESH fixed part whose length indicator leaves no count octet.
     header = generate_checksum(bytes([0x82, 9, 1, 0, PduType.ESH, 0, 20, 0, 0]))
-    assert decode(header) == DiscardReason(DiscardKind.PROTOCOL_ERROR,
-                                           ProtocolDetail.TRUNCATED_PDU)
+    assert decode(header) is DiscardReason.TRUNCATED_PDU
 
 
 def test_roundtrip_simple():
@@ -89,24 +87,24 @@ def test_roundtrip_simple():
 def test_clnp_nlpid_is_not_es_is():
     h = checksummed(Pdu(RaBody()))
     out = decode(b"\x81" + h[1:])
-    assert out == DiscardReason(DiscardKind.NOT_ES_IS)
+    assert out is DiscardReason.NOT_ES_IS
 
 
 def test_wrong_version():
     h = patched(checksummed(Pdu(RaBody())), 2, 2)
-    assert decode(h) == DiscardReason(DiscardKind.WRONG_VERSION)
+    assert decode(h) is DiscardReason.WRONG_VERSION
 
 
 def test_wrong_version_wins_over_bad_checksum():
     h = checksummed(Pdu(RaBody()))
     h = h[:2] + b"\x02" + h[3:]  # version wrong, checksum now stale too
-    assert decode(h) == DiscardReason(DiscardKind.WRONG_VERSION)
+    assert decode(h) is DiscardReason.WRONG_VERSION
 
 
 def test_checksum_error():
     h = checksummed(Pdu(EshBody((NSAP,)), holding_time=60))
     mutated = h[:5] + bytes([h[5] ^ 0x01]) + h[6:]
-    assert decode(mutated) == DiscardReason(DiscardKind.CHECKSUM_ERROR)
+    assert decode(mutated) is DiscardReason.CHECKSUM_ERROR
 
 
 def test_checksum_not_used_is_accepted():
@@ -117,16 +115,14 @@ def test_checksum_not_used_is_accepted():
 
 def test_zero_address_count():
     h = patched(checksummed(Pdu(EshBody((NSAP,)))), 9, 0)
-    assert decode(h) == DiscardReason(DiscardKind.PROTOCOL_ERROR,
-                                      ProtocolDetail.ZERO_ADDRESS_COUNT)
+    assert decode(h) is DiscardReason.ZERO_ADDRESS_COUNT
 
 
 def test_duplicate_option():
     p = Pdu(EshBody((NSAP,)), options=(Option(OptionCode.PRIORITY, b"\x05"),))
     h = encode(p)
     h = h[:1] + bytes([h[1] + 3]) + h[2:] + bytes([OptionCode.PRIORITY, 1, 5])
-    assert decode(generate_checksum(h)) == DiscardReason(
-        DiscardKind.PROTOCOL_ERROR, ProtocolDetail.DUPLICATE_OPTION)
+    assert decode(generate_checksum(h)) is DiscardReason.DUPLICATE_OPTION
 
 
 def test_trailing_octets_ignored():
@@ -138,29 +134,25 @@ def test_trailing_octets_ignored():
 def test_length_indicator_beyond_frame():
     h = checksummed(Pdu(RaBody()))
     h = h[:1] + b"\xf0" + h[2:]
-    assert decode(h) == DiscardReason(DiscardKind.PROTOCOL_ERROR,
-                                      ProtocolDetail.BAD_HEADER_LENGTH)
+    assert decode(h) is DiscardReason.BAD_HEADER_LENGTH
 
 
 def test_truncated():
-    assert decode(b"") == DiscardReason(DiscardKind.PROTOCOL_ERROR,
-                                        ProtocolDetail.TRUNCATED_PDU)
-    assert decode(b"\x82\x09\x01") == DiscardReason(
-        DiscardKind.PROTOCOL_ERROR, ProtocolDetail.TRUNCATED_PDU)
+    assert decode(b"") is DiscardReason.TRUNCATED_PDU
+    assert decode(b"\x82\x09\x01") is DiscardReason.TRUNCATED_PDU
 
 
 def test_atn_profile():
     atn_addr = b"\x47" + bytes(19)
     assert validate_nsap(atn_addr, ATN) is None
-    assert validate_nsap(bytes(19), ATN) is ProtocolDetail.BAD_ADDRESS_LENGTH
-    assert validate_nsap(b"\x48" + bytes(19), ATN) is ProtocolDetail.BAD_ADDRESS_VALUE
-    assert validate_nsap(b"", LENIENT) is ProtocolDetail.BAD_ADDRESS_LENGTH
-    assert validate_nsap(bytes(21), LENIENT) is ProtocolDetail.BAD_ADDRESS_LENGTH
+    assert validate_nsap(bytes(19), ATN) is DiscardReason.BAD_ADDRESS_LENGTH
+    assert validate_nsap(b"\x48" + bytes(19), ATN) is DiscardReason.BAD_ADDRESS_VALUE
+    assert validate_nsap(b"", LENIENT) is DiscardReason.BAD_ADDRESS_LENGTH
+    assert validate_nsap(bytes(21), LENIENT) is DiscardReason.BAD_ADDRESS_LENGTH
     assert validate_nsap(b"\x00", LENIENT) is None
 
     h = checksummed(Pdu(EshBody((bytes(20),))))
-    assert decode(h, ATN) == DiscardReason(DiscardKind.PROTOCOL_ERROR,
-                                           ProtocolDetail.BAD_ADDRESS_VALUE)
+    assert decode(h, ATN) is DiscardReason.BAD_ADDRESS_VALUE
     assert isinstance(decode(checksummed(Pdu(EshBody((atn_addr,)))), ATN), Pdu)
 
 
@@ -168,15 +160,38 @@ def test_esct_zero_is_bad_value():
     p = Pdu(IshBody(NSAP))
     h = encode(p)
     h = h[:1] + bytes([h[1] + 4]) + h[2:] + bytes([OptionCode.ESCT, 2, 0, 0])
-    assert decode(generate_checksum(h)) == DiscardReason(
-        DiscardKind.PROTOCOL_ERROR, ProtocolDetail.BAD_OPTION_VALUE)
+    assert decode(generate_checksum(h)) is DiscardReason.BAD_OPTION_VALUE
 
 
 def test_unknown_option_code():
     h = encode(Pdu(RaBody()))
     h = h[:1] + bytes([h[1] + 3]) + h[2:] + bytes([0x33, 1, 0])
-    assert decode(generate_checksum(h)) == DiscardReason(
-        DiscardKind.PROTOCOL_ERROR, ProtocolDetail.BAD_OPTION_CODE)
+    assert decode(generate_checksum(h)) is DiscardReason.BAD_OPTION_CODE
+
+
+# Discard vocabulary ----------------------------------------------------------
+
+# The text each DISCARD log line shows, in processing-map order.
+DISCARD_TEXTS = [
+    "NotEsIs", "WrongVersion", "ChecksumError",
+    "ProtocolError(BadHeaderLength)", "ProtocolError(NonzeroReserved)",
+    "ProtocolError(UnknownType)", "ProtocolError(ZeroAddressCount)",
+    "ProtocolError(BadAddressLength)", "ProtocolError(BadAddressValue)",
+    "ProtocolError(BadOptionCode)", "ProtocolError(BadOptionLength)",
+    "ProtocolError(BadOptionValue)", "ProtocolError(DuplicateOption)",
+    "ProtocolError(OptionIllegalForType)", "ProtocolError(TruncatedPdu)",
+    "ProtocolError(RoleMismatch)",
+]
+
+
+def test_discard_reasons_are_the_log_texts_in_processing_order():
+    assert [member.value for member in DiscardReason] == DISCARD_TEXTS
+
+
+@pytest.mark.parametrize("member", list(DiscardReason), ids=lambda m: m.name)
+def test_a_discard_reason_is_a_str_that_formats_as_its_value(member):
+    assert isinstance(member, str)
+    assert str(member) == f"{member}" == format(member, "") == member.value
 
 
 # Properties ----------------------------------------------------------------
