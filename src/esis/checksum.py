@@ -1,8 +1,13 @@
 """Fletcher mod-255 header checksum of ISO 8473 Annex C (generate / verify).
 
-For an L-octet header h, s = sum(h) and N(x) = sum(h[i] * x**(L-1-i)), c0 = s and
-c1 = s + N'(1), both mod 255. Since 256 = 1 + 255, int.from_bytes(h, "big") = N(256) is
-s + 255 * N'(1) mod 255**2, so two C-level passes give both sums with no per-octet loop.
+For an L-octet header h, s = sum(h), c0 = s and c1 = s + Q, both mod 255, where
+Q = sum(h[i] * (L-1-i)). Both sums come from two readings of the header as an integer,
+each one C-level pass with no loop over octets: N = int.from_bytes(h, "big") and
+M = int.from_bytes(h, "little"). Since 256 = 1 + 255, 256**k = 1 + 255*k mod 255**2, so
+N = s + 255*Q and M = s + 255*P mod 255**2, with P = sum(h[i] * i) and P + Q = (L-1)*s.
+So c0 = N mod 255, and (N - M) mod 255**2 is 255 * D with D = Q - P = 2Q - (L-1)*s mod
+255; as 2 * 128 = 1 mod 255, Q = 128 * (D + (L-1)*c0) mod 255. This holds at every
+length, including the whole inputs past 255 octets that `esis decode` checksums.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ class HeaderTooShort(ValueError):
 
 
 def _sums(header: bytes | bytearray) -> tuple[int, int]:
-    s = sum(header)
-    d = (int.from_bytes(header, "big") - s) % 65025 // 255
-    return s % 255, (s + d) % 255
+    n = int.from_bytes(header, "big")
+    c0 = n % 255
+    q = 128 * ((n - int.from_bytes(header, "little")) % 65025 // 255 + (len(header) - 1) * c0)
+    return c0, (c0 + q) % 255
 
 
 def verify_checksum(header: bytes) -> ChecksumVerdict:
@@ -48,10 +54,10 @@ def verify_checksum(header: bytes) -> ChecksumVerdict:
         return _NOT_USED
     if x == 0 or y == 0:
         return _INVALID
-    # _sums(header) == (0, 0) in one step: c0 = 0 means 255 divides s, and
-    # then c1 = 0 means N(256) = s (mod 255**2), by the module docstring.
-    s = sum(header)
-    if s % 255 == 0 and (int.from_bytes(header, "big") - s) % 65025 == 0:
+    # _sums(header) == (0, 0) in one step: c0 = 0 means 255 divides N, and
+    # then Q = 128 * D, so c1 = 0 means D = 0, by the module docstring.
+    n = int.from_bytes(header, "big")
+    if n % 255 == 0 and (n - int.from_bytes(header, "little")) % 65025 == 0:
         return _VALID
     return _INVALID
 

@@ -12,15 +12,18 @@ failure: NLPID, fixed-part length, version, length indicator, checksum
 (ISO 8473 Annex C), reserved bits, type, address part, options. Each
 failure is one `DiscardReason` member, whose value is the text its DISCARD
 line shows. Address rules run in place on the length and first octets,
-with no helper call per address; each option goes through `_option_fault`,
-which `encode` shares.
+with no helper call per address, under the profile's stored NSAP rule;
+each option goes through `_option_fault`, which `encode` shares. One table
+lookup on the type octet gives the body class, type and address part. Each
+`Pdu` and `Option` is built in C, from `object.__new__` and its slots'
+`__set__`, past the frozen `__init__`: the value its constructor builds.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .checksum import ChecksumVerdict, verify_checksum
@@ -107,11 +110,14 @@ class ValidationProfile:
 
     atn: bool = False
     afi: int = 0x47
+    # The shortest NSAP length accepted, and the first octet required or None;
+    # stored, as it is read for every frame decoded and every PDU encoded.
+    nsap_rule: tuple[int, int | None] = field(init=False, repr=False, compare=False)
 
-    @property
-    def nsap_rule(self) -> tuple[int, int | None]:
-        """The shortest NSAP length accepted, and the first octet required or None."""
-        return (MAX_NSAP_LEN, self.afi) if self.atn else (1, None)
+    def __post_init__(self) -> None:
+        if not 0 <= self.afi <= 0xFF:
+            raise ValueError(f"afi must be one octet, 0..255, got {self.afi}")
+        object.__setattr__(self, "nsap_rule", (MAX_NSAP_LEN, self.afi) if self.atn else (1, None))
 
 
 LENIENT = ValidationProfile()
@@ -193,7 +199,9 @@ _NSAP_LIST, _, _SNPA, _NSAP_OR_EMPTY = Part
  _TRUNCATED_PDU, _) = DiscardReason
 _INVALID = ChecksumVerdict.INVALID
 
-_BODY_CLASS: dict[PduType, type] = {spec.pdu_type: cls for cls, spec in PDU_SPECS.items()}
+# decode's one lookup per frame: type code -> (body class, PduType, parts).
+_BY_CODE: dict[int, tuple[type, PduType, tuple[tuple[str, Part], ...]]] = {
+    spec.pdu_type: (cls, *spec) for cls, spec in PDU_SPECS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,6 +217,14 @@ class Pdu:
 
     def without_checksum(self) -> "Pdu":
         return replace(self, checksum=(0, 0))
+
+
+# decode builds a Pdu or an Option from object.__new__ and one slot __set__ per
+# field: about 0.35 us a Pdu on Python 3.11, against 0.67 us through __init__.
+_new = object.__new__
+_set_body, _set_holding_time, _set_options, _set_checksum = (
+    getattr(Pdu, name).__set__ for name in Pdu.__slots__)
+_set_code, _set_value = (getattr(Option, name).__set__ for name in Option.__slots__)
 
 
 def address_fault(part: Part, addr: bytes,
@@ -368,10 +384,10 @@ def decode(raw: bytes, profile: ValidationProfile = LENIENT) -> Pdu | DiscardRea
         return _CHECKSUM_ERROR
     if header[3] != 0 or header[4] & 0xE0:
         return _NONZERO_RESERVED
-    cls = _BODY_CLASS.get(header[4] & 0x1F)
-    if cls is None:
+    spec = _BY_CODE.get(header[4] & 0x1F)
+    if spec is None:
         return _UNKNOWN_TYPE
-    pdu_type, parts = PDU_SPECS[cls]
+    cls, pdu_type, parts = spec
     holding = (header[5] << 8) | header[6]
     checksum = (header[7], header[8])
 
@@ -394,5 +410,13 @@ def decode(raw: bytes, profile: ValidationProfile = LENIENT) -> Pdu | DiscardRea
         fault = _option_fault(code, value, pdu_type, seen)
         if fault is not None:
             return fault
-        opts.append(Option(code, value))
-    return Pdu(cls(*fields), holding, tuple(opts), checksum)
+        opt = _new(Option)
+        _set_code(opt, code)
+        _set_value(opt, value)
+        opts.append(opt)
+    pdu = _new(Pdu)
+    _set_body(pdu, cls(*fields))
+    _set_holding_time(pdu, holding)
+    _set_options(pdu, tuple(opts))
+    _set_checksum(pdu, checksum)
+    return pdu

@@ -20,8 +20,10 @@ hello share one frozen RIB entry, rendered once, and the pool holds one time
 step's entries. A RIB event is the entry itself, and one renderer logs
 either entry class by its `line`. Time never runs backwards: a negative
 latency is refused, and scheduling before `now` is an error. Up front,
-`add_node` refuses a taken SNPA and `inject_clnp` an address outside 1..20
-octets. The log is a pure function of the scenario and seed.
+the constructor refuses a fault plan with a drop or corrupt ordinal below
+1, a corrupt index below 0 or a corrupt value outside 0..255, `add_node`
+a taken SNPA and `inject_clnp` an address outside 1..20 octets. The log
+is a pure function of the scenario and seed.
 `Simulator.log` is a list, but only its `append` is ever called, so any
 object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
@@ -78,9 +80,19 @@ class Simulator:
                  faults: FaultPlan | None = None) -> None:
         if latency < 0:
             raise ValueError(f"latency must be ≥ 0, got {latency}")
+        faults = faults or FaultPlan()
+        if (first := min((*faults.drops, *faults.corruptions), default=1)) < 1:
+            raise ValueError(f"fault ordinals count frames from 1, got {first}")
+        for ordinal, (idx, val) in faults.corruptions.items():
+            if idx is not None and idx < 0:
+                raise ValueError(f"corrupt rule for frame {ordinal}: octet index must be ≥ 0, "
+                                 f"got {idx}")
+            if val is not None and not 0 <= val <= 0xFF:
+                raise ValueError(f"corrupt rule for frame {ordinal}: value must be one octet, "
+                                 f"0..255, got {val}")
         self.latency = latency
         self.rng = random.Random(seed)
-        self.faults = faults or FaultPlan()
+        self.faults = faults
         self._queue: dict[int, list[tuple[Callable, object, object]]] = {}
         self._times: list[int] = []  # heap of the keys of _queue
         self._tx_count = 0

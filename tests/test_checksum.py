@@ -111,6 +111,15 @@ def test_sums_closed_form_at_every_length():
             assert _sums(header) == iterative_sums(header), (length, header[:2])
 
 
+def test_sums_and_generated_checksums_hold_past_255_octets():
+    # `esis decode` checksums a whole input when its length indicator is
+    # unusable, so a header may be longer than any length indicator allows.
+    for length in [*range(256, 601), 4096]:
+        for header in wrap_headers(length):
+            assert _sums(header) == iterative_sums(header), (length, header[:2])
+            assert verify_checksum(generate_checksum(header)) is ChecksumVerdict.VALID, length
+
+
 def test_sums_read_a_bytearray_as_its_bytes():
     rng = random.Random(10)
     for length in range(0, 256, 17):

@@ -156,6 +156,24 @@ def test_atn_profile():
     assert isinstance(decode(checksummed(Pdu(EshBody((atn_addr,)))), ATN), Pdu)
 
 
+def test_profile_stores_its_nsap_rule_and_compares_without_it():
+    assert LENIENT.nsap_rule == (1, None) and ATN.nsap_rule == (20, 0x47)
+    edge = ValidationProfile(atn=True, afi=0xFF)
+    assert edge.nsap_rule == (20, 0xFF)
+    assert repr(edge) == "ValidationProfile(atn=True, afi=255)"
+    assert replace(edge, afi=0).nsap_rule == (20, 0)
+    assert ValidationProfile(afi=0xFF) == ValidationProfile(afi=0xFF) != LENIENT
+
+
+@pytest.mark.parametrize("afi", [-1, 256, 300])
+def test_profile_refuses_an_afi_that_is_not_one_octet(afi):
+    # Such an afi matches no address octet, so every ATN address would
+    # decode to BadAddressValue.
+    for atn in (True, False):
+        with pytest.raises(ValueError, match=f"afi must be one octet, 0..255, got {afi}"):
+            ValidationProfile(atn=atn, afi=afi)
+
+
 def test_esct_zero_is_bad_value():
     p = Pdu(IshBody(NSAP))
     h = encode(p)
@@ -257,3 +275,43 @@ def test_decode_reads_any_bytes_like_frame_into_hashable_bytes(octets):
             fields = list(body.source_addresses)
         fields += [opt.value for opt in got.options]
         assert {type(field) for field in fields} <= {bytes, type(None)}
+
+
+def option_pdus() -> list[Pdu]:
+    """One PDU of each body class, each with options."""
+    prio = Option(int(OptionCode.PRIORITY), b"\x03")
+    sec = Option(int(OptionCode.SECURITY), b"ab")
+    return [Pdu(EshBody((NSAP, NSAP[:3])), 30, (prio, sec)),
+            Pdu(IshBody(NSAP), 60, (Option(int(OptionCode.ESCT), b"\x00\x1e"), prio)),
+            Pdu(RdBody(NSAP, SNPA, NSAP[:4]), 9, (Option(int(OptionCode.ADDRESS_MASK), b"\xff"),
+                                                  Option(int(OptionCode.SNPA_MASK), b"\xff\x00"))),
+            Pdu(RaBody(), 5, (sec,)),
+            Pdu(AaBody(NSAP), 7, (prio,))]
+
+
+@pytest.mark.parametrize("pdu", option_pdus(), ids=lambda p: type(p.body).__name__)
+def test_decoded_values_are_the_frozen_values_their_constructors_build(pdu):
+    got = decode(checksummed(pdu))
+    assert type(got) is Pdu and len(got.options) == len(pdu.options)
+    for value, cls in [(got, Pdu), (got.body, type(pdu.body)),
+                       *[(opt, Option) for opt in got.options]]:
+        assert type(value) is cls and not hasattr(value, "__dict__")
+        for name in value.__dataclass_fields__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+        twin = cls(*(getattr(value, name) for name in value.__dataclass_fields__))
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+
+
+def test_decode_builds_pdus_and_options_past_their_constructors(monkeypatch):
+    frames = [checksummed(p) for p in option_pdus()]
+    expected = [decode(raw) for raw in frames]
+    assert [p.without_checksum() for p in expected] == option_pdus()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.__init__ called")
+
+    monkeypatch.setattr(Pdu, "__init__", refuse)
+    monkeypatch.setattr(Option, "__init__", refuse)
+    assert [decode(raw) for raw in frames] == expected

@@ -343,6 +343,27 @@ def test_negative_latency_cannot_run_time_backwards():
         three_node_sim(latency=-3)
 
 
+@pytest.mark.parametrize("faults, message", [
+    (FaultPlan(drops={0}), "fault ordinals count frames from 1, got 0"),
+    (FaultPlan(drops={2, -1}), "fault ordinals count frames from 1, got -1"),
+    (FaultPlan(corruptions={0: (0, 1)}), "fault ordinals count frames from 1, got 0"),
+    (FaultPlan(corruptions={-1: (None, None)}), "fault ordinals count frames from 1, got -1"),
+    (FaultPlan(corruptions={1: (-1, 1)}), "frame 1: octet index must be ≥ 0, got -1"),
+    (FaultPlan(corruptions={3: (0, 300)}), "frame 3: value must be one octet, 0..255, got 300"),
+    (FaultPlan(corruptions={1: (None, -1)}), "frame 1: value must be one octet, 0..255, got -1"),
+], ids=["drop-0", "drop-neg", "corrupt-0", "corrupt-neg", "index-neg", "value-300", "value-neg"])
+def test_a_fault_that_could_not_fire_as_written_is_refused_up_front(faults, message):
+    # An ordinal below 1 never fired, and a value outside 0..255 raised from
+    # `bytes` mid-run, after its frame's SEND was logged.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        three_node_sim(faults=faults)
+
+
+def test_fault_plan_edge_values_are_accepted():
+    faults = FaultPlan(drops={1}, corruptions={2: (0, 0), 3: (None, 0xFF), 4: (None, None)})
+    assert three_node_sim(faults=faults).faults is faults
+
+
 def test_add_node_refuses_a_node_that_cannot_send_its_hello():
     # A 5-octet SNPA once stopped the run at the node's first hello.
     sim = Simulator()
