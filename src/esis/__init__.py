@@ -11,7 +11,7 @@ from importlib import import_module
 _EXPORTS = {
     "checksum": "ChecksumVerdict HeaderTooShort generate_checksum verify_checksum",
     "pdu": "ATN AaBody DiscardReason EshBody InvariantViolation IshBody LENIENT Option "
-           "OptionCode Pdu PduType RaBody RdBody ValidationProfile decode encode validate_nsap",
+           "OptionCode Pdu PduType RaBody RdBody ValidationProfile decode encode",
     "rib": "EntryKind HopKind InsertResult NextHop RedirectEntry Rib RibEntry",
     "engine": "ALL_ES ALL_IS BROADCAST Frame MinimalClnpPdu Node NodeConfig Role",
     "sim": "FaultPlan Simulator",

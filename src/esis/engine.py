@@ -3,13 +3,13 @@
 An engine is a pure state machine: timer fires and received frames go in,
 EngineEvent values come out, each the value it reports: a RIB change is the
 RIB value the table now holds, a discard its `DiscardReason`. All I/O is
-the simulator's. Input is two steps: `decode_payload` reads a payload under
-a validation profile, and `Node.handle_pdu` acts on what it read, so one
-decode can serve every receiver that shares the profile.
-`Node.handle_frame` does both. A stub CLNP's addresses are read by
-`pdu.read_parts`, as ES-IS ones are. `handle_pdu` finds the handler in one
-lookup, in its role's table (`_ES_INPUT`, `_IS_INPUT`), keyed on the body's
-type for a `Pdu`, else on the type of what was read.
+the simulator's. Input is one step, after `decode_payload` has read a
+payload under a validation profile: `Node.handle_frame` acts on what it
+read, so one decode can serve every receiver that shares the profile. A
+stub CLNP's addresses are read by `pdu.read_parts`, as ES-IS ones are.
+`handle_frame` finds the handler in one lookup, in its role's table
+(`_ES_INPUT`, `_IS_INPUT`), keyed on the body's type for a `Pdu`, else on
+the type of what was read.
 Every frame out is a `Frame`, the event itself: hellos, replies and RDs
 from `Node._send`, the stub from `clnp_frame`, and the IS forward. `_send`
 is keyed on what fixes a PDU's octets: its body class, holding time and
@@ -73,6 +73,8 @@ def decode_clnp(payload: bytes) -> MinimalClnpPdu | None:
     or an address outside 1..20 octets. ATN rules are for ES-IS decode only."""
     if not payload or payload[0] != NLPID_CLNP:
         return None
+    if type(payload) is not bytes:  # a bytearray's fields would not hash
+        payload = bytes(payload)
     read = pdu_mod.read_parts(payload, 1, len(payload), _CLNP_PARTS, LENIENT)
     return None if type(read) is DiscardReason else _new(MinimalClnpPdu, read[0])
 
@@ -236,22 +238,12 @@ class Node:
 
     # Input path -------------------------------------------------------
 
-    def handle_frame(self, frame: Frame, now: int) -> list[EngineEvent]:
-        """`handle_pdu` of the decoded payload; ignored unless from a 6-octet
-        SNPA. Source and payload are read as `bytes`, whose slices hash."""
-        source = bytes(frame.source)
-        if len(source) != SNPA_LEN:
-            return []
-        payload = bytes(frame.payload)
-        return self.handle_pdu(decode_payload(payload, self.config.validation_profile),
-                               source, now)
-
-    def handle_pdu(self, decoded: Pdu | DiscardReason | MinimalClnpPdu | None,
-                   source_snpa: bytes, now: int) -> list[EngineEvent]:
-        """Act on `decode_payload`'s result under this node's profile for a
-        frame from `source_snpa`, which must be 6 octets; a frame from this
-        node's own SNPA is ignored. The handler is one lookup in the input
-        table of this node's role, `_ES_INPUT` or `_IS_INPUT`."""
+    def handle_frame(self, decoded: Pdu | DiscardReason | MinimalClnpPdu | None,
+                     source_snpa: bytes, now: int) -> list[EngineEvent]:
+        """Act on `decoded`, `decode_payload`'s result under this node's
+        profile, for a frame from `source_snpa`, its 6-octet `bytes` source;
+        a frame from this node's own SNPA, or a None decode, is ignored. The
+        handler is one lookup in the input table of this node's role."""
         if source_snpa == self.config.snpa or decoded is None:
             return []
         kind = type(decoded)
@@ -348,7 +340,7 @@ def _discarded(node: Node, reason: DiscardReason, source_snpa: bytes,
     return [reason]
 
 
-# What `handle_pdu` does at a node of each role with each kind of
+# What `handle_frame` does at a node of each role with each kind of
 # `decode_payload` result: a `Pdu` is looked up by its body's class, anything
 # else by its own class. A body the role never accepts is a ROLE_MISMATCH.
 _ES_INPUT: dict[type, Callable] = {

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .checksum import ChecksumVerdict, verify_checksum
@@ -124,11 +124,6 @@ LENIENT = ValidationProfile()
 ATN = ValidationProfile(atn=True)
 
 
-def validate_nsap(addr: bytes, profile: ValidationProfile = LENIENT) -> DiscardReason | None:
-    """Return None when the address passes the profile, else the failure."""
-    return address_fault(Part.NSAP, addr, profile)
-
-
 @dataclass(frozen=True, slots=True)
 class Option:
     code: int
@@ -214,9 +209,6 @@ class Pdu:
     @property
     def pdu_type(self) -> PduType:
         return PDU_SPECS[type(self.body)].pdu_type
-
-    def without_checksum(self) -> "Pdu":
-        return replace(self, checksum=(0, 0))
 
 
 # decode builds a Pdu or an Option from object.__new__ and one slot __set__ per

@@ -10,20 +10,20 @@ event, holding a tuple of them copied at `transmit`, that delivers to them
 in that order. `transmit` takes no time: it stamps the frame with the
 simulator's own `now`. The delivery skips the sender by name, and nothing
 else tests the sender, so a frame only its sender hears queues a delivery
-that logs nothing. Each receiver acts through `Node.handle_pdu` on the
-decode of the payload in its own table, the one for its profile's NSAP
-rule, the only part of a profile that decode reads. The table is found when
-the node is added, as the role and SNPA that place it in the delivery map
-are. A simulator decodes each distinct (payload, NSAP rule) pair once. The
-simulator owns the `EntryPool` of every node's RIB, so the receivers of a
-hello share one frozen RIB entry, rendered once, and the pool holds one time
-step's entries. A RIB event is the entry itself, and one renderer logs
-either entry class by its `line`. Time never runs backwards: a negative
-latency is refused, and scheduling before `now` is an error. Up front,
-the constructor refuses a fault plan with a drop or corrupt ordinal below
-1, a corrupt index below 0 or a corrupt value outside 0..255, `add_node`
-a taken SNPA and `inject_clnp` an address outside 1..20 octets. The log
-is a pure function of the scenario and seed.
+that logs nothing. Each receiver's one input step is `Node.handle_frame`,
+after `decode_payload`: it acts on the decode of the payload in its own
+table, the one for its profile's NSAP rule, the only part of a profile that
+decode reads. The table is found when the node is added, as the role and
+SNPA that place it in the delivery map are. A simulator decodes each
+distinct (payload, NSAP rule) pair once. The simulator owns the `EntryPool`
+of every node's RIB, so the receivers of a hello share one frozen RIB entry,
+rendered once, and the pool holds one time step's entries. A RIB event is
+the entry itself, and one renderer logs either entry class by its `line`.
+Time never runs backwards: a negative latency is refused, and scheduling
+before `now` is an error. Up front, the constructor refuses a fault plan
+with a drop or corrupt ordinal below 1, a corrupt index below 0 or a corrupt
+value outside 0..255, `add_node` a taken SNPA and `inject_clnp` an address
+outside 1..20 octets. The log is a pure function of the scenario and seed.
 `Simulator.log` is a list, but only its `append` is ever called, so any
 object with one, such as a writer to a stream, can stand in. Log line shape:
   t=<int> node=<name> <EVENT> <details>
@@ -39,8 +39,11 @@ from dataclasses import dataclass, field
 
 from .engine import (AddressAssigned, Frame, Node, NodeConfig, RedirectIssued, TimerSet,
                      decode_payload)
-from .pdu import MAX_NSAP_LEN, SNPA_LEN, DiscardReason, ValidationProfile
+from .pdu import (LENIENT, MAX_NSAP_LEN, SNPA_LEN, DiscardReason, Part, ValidationProfile,
+                  address_fault)
 from .rib import EntryPool, RedirectEntry, RibEntry
+
+_NSAP = Part.NSAP
 
 
 class _Decodes(dict):
@@ -148,7 +151,8 @@ class Simulator:
 
     def inject_clnp(self, at: int, from_node: str, source_nsap: bytes,
                     dest_nsap: bytes) -> None:
-        if not (0 < len(source_nsap) <= MAX_NSAP_LEN and 0 < len(dest_nsap) <= MAX_NSAP_LEN):
+        if (address_fault(_NSAP, source_nsap, LENIENT) is not None
+                or address_fault(_NSAP, dest_nsap, LENIENT) is not None):
             raise ValueError(f"CLNP addresses must be NSAPs of length 1..{MAX_NSAP_LEN}, got "
                              f"source {source_nsap.hex()!r} and destination {dest_nsap.hex()!r}")
         self._schedule(at, Simulator._send_clnp, self._require_node(from_node),
@@ -230,7 +234,7 @@ class Simulator:
         for sn in receivers:
             if not sn.down and sn.name != sender:
                 self.log.append(f"t={at} node={sn.name}{recv}")
-                for ev in sn.node.handle_pdu(sn.decodes[payload], source, at):
+                for ev in sn.node.handle_frame(sn.decodes[payload], source, at):
                     _ON_EVENT[type(ev)](self, sn, ev, at)
 
     def _send_clnp(self, sn: _SimNode, addresses: tuple[bytes, bytes], at: int) -> None:

@@ -1,12 +1,15 @@
 """Shared test utilities: random valid PDU generation, ISO 8473 Annex C's
 running sums one octet at a time, the exhaustive checksum-pair search
-oracle built on them, and a check of RIB values' rendered lines. Like the
-package, the suite uses only the standard library, pytest and hypothesis."""
+oracle built on them, a check of RIB values' rendered lines, a node's
+receive step as the simulator takes it, and the RIB dump rebuilt from a
+log alone. Like the package, the suite uses only the standard library,
+pytest and hypothesis."""
 
 from __future__ import annotations
 
 import random
 
+from esis.engine import decode_payload
 from esis.pdu import (AaBody, EshBody, IshBody, Option, OptionCode, Pdu,
                       PduType, RaBody, RdBody, encode)
 from esis.rib import RedirectEntry
@@ -105,3 +108,46 @@ def misrendered_rib_values(sim) -> list:
         values += [*rib.es_neighbors.values(), *rib.is_neighbors.values(),
                    *rib.redirects.values()]
     return [v for v in values if v.line != rendered_line(v)]
+
+
+def receive(node, frame, now: int) -> list:
+    """`node`'s events for `frame` at `now`, as the simulator hands it over:
+    `Node.handle_frame` of the payload's decode under the node's profile."""
+    return node.handle_frame(decode_payload(frame.payload, node.config.validation_profile),
+                             frame.source, now)
+
+
+def _expiry(line: str) -> int:
+    return int(line.rsplit(" ", 1)[1])
+
+
+def replayed_ribs(log: list[str], names: list[str], until: int) -> list[str]:
+    """`Simulator.dump_ribs(until)` rebuilt from the log lines alone; `names`,
+    the scenario's nodes in order, only orders the sections.
+
+    Each `RIB` line upserts its entry into that node's table for its kind
+    (ES, IS or RD), keyed on the address or destination; a replaced key
+    keeps its place. A `TIMER` line is a fire of that node's configuration
+    timer, which first dropped the node's entries whose expiry is <= t.
+    This assumes no `TIMER` line comes from an ESCT option, which re-arms
+    the timer without a flush: no scenario reaches one, as no node sends an
+    option. A dump lists each node's live entries, expiry past `until`: its
+    ES, IS and RD tables, each in insertion order.
+    """
+    tables = {name: {"ES": {}, "IS": {}, "RD": {}} for name in names}
+    for line in log:
+        t, node, event, details = line.split(" ", 3)
+        if event == "RIB":
+            kind, key, _ = details.split(" ", 2)
+            tables[node[5:]][kind][key] = details
+        elif event == "TIMER":
+            now = int(t[2:])
+            for table in tables[node[5:]].values():
+                for key in [k for k, entry in table.items() if _expiry(entry) <= now]:
+                    del table[key]
+    dump = []
+    for name in names:
+        dump.append(f"-- rib {name} --")
+        dump += [entry for table in tables[name].values() for entry in table.values()
+                 if _expiry(entry) > until]
+    return dump

@@ -3,6 +3,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 from esis.checksum import ChecksumVerdict, generate_checksum, verify_checksum
 from esis.engine import Role
@@ -29,7 +30,7 @@ def test_criterion_1_codec_roundtrip():
         p = random_pdu(rng)
         out = decode(generate_checksum(encode(p)))
         assert isinstance(out, Pdu), out
-        assert out.without_checksum() == p
+        assert replace(out, checksum=(0, 0)) == p
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
     report(1, f"1000 randomized PDUs round-trip in {elapsed:.2f}s")

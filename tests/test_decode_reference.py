@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from esis.checksum import generate_checksum
 from esis.pdu import (ATN, LENIENT, AaBody, DiscardReason, EshBody, IshBody, Option, Part,
                       Pdu, RaBody, RdBody, ValidationProfile, address_fault, decode, encode,
-                      read_parts, validate_nsap)
+                      read_parts)
 from helpers import iterative_sums, random_pdu
 
 PROFILES = [LENIENT, ATN, ValidationProfile(atn=True, afi=0x39)]
@@ -241,5 +241,3 @@ def test_read_parts_gives_address_fault_at_every_length(part, profile):
                 assert got == ([value], len(buf)), (length, first)
             else:
                 assert got is fault, (length, first)
-            if part is Part.NSAP:
-                assert validate_nsap(addr, profile) is fault, (length, first)

@@ -15,7 +15,7 @@ from esis.engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, EngineEvent
 from esis.pdu import (ATN, LENIENT, AaBody, DiscardReason, EshBody, IshBody, Option,
                       OptionCode, Pdu, PduType, RaBody, RdBody, decode, encode)
 from esis.rib import EntryKind, HopKind, RedirectEntry, RibEntry
-from helpers import random_nsap, random_pdu
+from helpers import random_nsap, random_pdu, receive
 
 ES_NSAP = b"\x49\x01" + bytes(18)
 ES2_NSAP = b"\x49\x02" + bytes(18)
@@ -125,8 +125,8 @@ def test_es_timer_both_groups_when_no_is():
 
 def test_es_timer_single_group_when_is_known():
     node = make_es()
-    node.handle_frame(frame_with(Pdu(IshBody(IS_NET), holding_time=60),
-                                 IS_SNPA, ES_SNPA), 0)
+    receive(node, frame_with(Pdu(IshBody(IS_NET), holding_time=60),
+                             IS_SNPA, ES_SNPA), 0)
     pdus = sent_pdus(node.on_config_timer(1))
     assert [f.destination for _, f in pdus] == [ALL_IS]
 
@@ -135,8 +135,8 @@ def test_es_timer_single_group_when_is_known():
 def test_es_greets_all_es_again_once_its_only_is_expires(holding):
     # The ISH at t=1 expires at t=30 (on a fire) or t=26 (between fires).
     node = make_es()
-    node.handle_frame(frame_with(Pdu(IshBody(IS_NET), holding_time=holding),
-                                 IS_SNPA, ES_SNPA), 1)
+    receive(node, frame_with(Pdu(IshBody(IS_NET), holding_time=holding),
+                             IS_SNPA, ES_SNPA), 1)
     for now in (10, 20):
         assert [f.destination for _, f in sent_pdus(node.on_config_timer(now))] == [ALL_IS]
     assert [f.destination for _, f in sent_pdus(node.on_config_timer(30))] == [ALL_IS, ALL_ES]
@@ -167,7 +167,7 @@ def test_addressless_es_emits_ra():
 def test_is_handles_esh_notifies_once():
     node = make_is()
     esh = Pdu(EshBody((ES_NSAP, ES2_NSAP)), holding_time=60)
-    events = node.handle_frame(frame_with(esh, ES_SNPA), 0)
+    events = receive(node, frame_with(esh, ES_SNPA), 0)
     ribs = [ev for ev in events if isinstance(ev, RibEntry)]
     pdus = sent_pdus(events)
     assert len(ribs) == 2
@@ -176,26 +176,26 @@ def test_is_handles_esh_notifies_once():
     assert isinstance(pdu.body, IshBody)
     assert frame.destination == ES_SNPA
     # Same ESH again: replaced, no reply
-    events = node.handle_frame(frame_with(esh, ES_SNPA), 1)
+    events = receive(node, frame_with(esh, ES_SNPA), 1)
     assert sent_pdus(events) == []
 
 
 def test_es_handles_ish_replies_once():
     node = make_es()
     ish = Pdu(IshBody(IS_NET), holding_time=60)
-    events = node.handle_frame(frame_with(ish, IS_SNPA, ES_SNPA), 0)
+    events = receive(node, frame_with(ish, IS_SNPA, ES_SNPA), 0)
     pdus = sent_pdus(events)
     assert len(pdus) == 1
     assert isinstance(pdus[0][0].body, EshBody)
     assert pdus[0][1].destination == IS_SNPA
-    assert sent_pdus(node.handle_frame(frame_with(ish, IS_SNPA, ES_SNPA), 1)) == []
+    assert sent_pdus(receive(node, frame_with(ish, IS_SNPA, ES_SNPA), 1)) == []
 
 
 def test_esct_adjusts_configuration_timer():
     node = make_es()
     ish = Pdu(IshBody(IS_NET), holding_time=60,
               options=(Option(OptionCode.ESCT, b"\x00\x1e"),))
-    events = node.handle_frame(frame_with(ish, IS_SNPA, ES_SNPA), 0)
+    events = receive(node, frame_with(ish, IS_SNPA, ES_SNPA), 0)
     assert node.ct == 30
     assert TimerSet(30) in events
     assert node.holding_time == 60
@@ -206,20 +206,20 @@ def test_corrupted_esh_discarded_rib_unchanged():
     payload = bytearray(generate_checksum(encode(Pdu(EshBody((ES_NSAP,)),
                                                      holding_time=60))))
     payload[10] ^= 0x01
-    events = node.handle_frame(Frame(IS_SNPA, ES_SNPA, bytes(payload)), 0)
+    events = receive(node, Frame(IS_SNPA, ES_SNPA, bytes(payload)), 0)
     assert events == [DiscardReason.CHECKSUM_ERROR]
     assert node.rib.num_of_entry == 0
 
 
 def test_unrecognized_nlpid_ignored():
     node = make_es()
-    assert node.handle_frame(Frame(ES_SNPA, IS_SNPA, b"\x55\x01\x02"), 0) == []
+    assert receive(node, Frame(ES_SNPA, IS_SNPA, b"\x55\x01\x02"), 0) == []
 
 
 def test_own_frames_ignored():
     node = make_is()
     esh = Pdu(EshBody((ES_NSAP,)), holding_time=60)
-    assert node.handle_frame(frame_with(esh, IS_SNPA), 0) == []
+    assert receive(node, frame_with(esh, IS_SNPA), 0) == []
     assert node.rib.num_of_entry == 0
 
 
@@ -230,27 +230,27 @@ def test_role_mismatches():
     rd = frame_with(Pdu(RdBody(ES2_NSAP, ES2_SNPA, None)), ES2_SNPA)
     ish = frame_with(Pdu(IshBody(IS_NET)), ES2_SNPA)
     for node, frame in [(es, ra), (is_, aa), (is_, rd), (is_, ish)]:
-        events = node.handle_frame(frame, 0)
+        events = receive(node, frame, 0)
         assert len(events) == 1 and isinstance(events[0], DiscardReason)
         assert str(events[0]) == "ProtocolError(RoleMismatch)"
 
 
 def test_ra_aa_flow():
     is_node = make_is()
-    events = is_node.handle_frame(frame_with(Pdu(RaBody()), ES_SNPA), 0)
+    events = receive(is_node, frame_with(Pdu(RaBody()), ES_SNPA), 0)
     pdus = sent_pdus(events)
     assert len(pdus) == 1
     aa, frame = pdus[0]
     assert isinstance(aa.body, AaBody) and len(aa.body.net) == 20
     assert frame.destination == ES_SNPA
     # Same requester gets the same NET; a different one gets a different NET.
-    again = sent_pdus(is_node.handle_frame(frame_with(Pdu(RaBody()), ES_SNPA), 1))
+    again = sent_pdus(receive(is_node, frame_with(Pdu(RaBody()), ES_SNPA), 1))
     assert again[0][0].body.net == aa.body.net
-    other = sent_pdus(is_node.handle_frame(frame_with(Pdu(RaBody()), ES2_SNPA), 2))
+    other = sent_pdus(receive(is_node, frame_with(Pdu(RaBody()), ES2_SNPA), 2))
     assert other[0][0].body.net != aa.body.net
 
     es = make_es(local_nsaps=())
-    events = es.handle_frame(Frame(ES_SNPA, IS_SNPA, frame.payload), 1)
+    events = receive(es, Frame(ES_SNPA, IS_SNPA, frame.payload), 1)
     assert AddressAssigned(aa.body.net) in events
     assert es.local_addresses() == (aa.body.net,)
     pdus = sent_pdus(es.on_config_timer(10))
@@ -258,7 +258,7 @@ def test_ra_aa_flow():
 
     # Latest AA wins.
     other_aa = generate_checksum(encode(Pdu(AaBody(ES2_NSAP), holding_time=60)))
-    es.handle_frame(Frame(ES_SNPA, IS_SNPA, other_aa), 2)
+    receive(es, Frame(ES_SNPA, IS_SNPA, other_aa), 2)
     assert es.acquired_net == ES2_NSAP
 
 
@@ -273,10 +273,10 @@ def test_assign_temporary_net_shape():
 
 def test_clnp_redirect_to_directly_connected_es():
     node = make_is()
-    node.handle_frame(frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=60),
-                                 ES2_SNPA), 0)
+    receive(node, frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=60),
+                             ES2_SNPA), 0)
     clnp = Frame(IS_SNPA, ES_SNPA, encode_clnp(ES_NSAP, ES2_NSAP))
-    events = node.handle_frame(clnp, 5)
+    events = receive(node, clnp, 5)
     assert RedirectIssued(ES2_NSAP, ES2_SNPA) in events
     pdus = sent_pdus(events)
     rd = next(p for p, f in pdus if isinstance(p.body, RdBody))
@@ -291,8 +291,8 @@ def test_clnp_redirect_via_forwarding_table():
     table = (ForwardingEntry(b"\x49", IS_NET, ES2_SNPA),
              ForwardingEntry(b"\x49\x02", b"\x48" + bytes(19), fwd_snpa))
     node = make_is(forwarding_table=table)
-    events = node.handle_frame(Frame(IS_SNPA, ES_SNPA,
-                                     encode_clnp(ES_NSAP, ES2_NSAP)), 0)
+    events = receive(node, Frame(IS_SNPA, ES_SNPA,
+                                 encode_clnp(ES_NSAP, ES2_NSAP)), 0)
     pdus = sent_pdus(events)
     rd = next(p for p, _ in pdus if isinstance(p, Pdu) and isinstance(p.body, RdBody))
     # Longest prefix wins and the RD carries both SNPA and NET.
@@ -300,38 +300,38 @@ def test_clnp_redirect_via_forwarding_table():
     assert rd.body.redirect_net == b"\x48" + bytes(19)
     # Of equally long prefixes, the first in the table wins.
     tied = make_is(forwarding_table=table + (ForwardingEntry(b"\x49\x02", IS_NET, ES_SNPA),))
-    events = tied.handle_frame(Frame(IS_SNPA, ES_SNPA, encode_clnp(ES_NSAP, ES2_NSAP)), 0)
+    events = receive(tied, Frame(IS_SNPA, ES_SNPA, encode_clnp(ES_NSAP, ES2_NSAP)), 0)
     assert RedirectIssued(ES2_NSAP, fwd_snpa) in events
 
 
 def test_clnp_no_route_no_redirect():
     node = make_is()
-    events = node.handle_frame(Frame(IS_SNPA, ES_SNPA,
-                                     encode_clnp(ES_NSAP, ES2_NSAP)), 0)
+    events = receive(node, Frame(IS_SNPA, ES_SNPA,
+                                 encode_clnp(ES_NSAP, ES2_NSAP)), 0)
     assert events == []
 
 
 def test_clnp_refresh_at_es():
     node = make_es()
     rd = Pdu(RdBody(ES2_NSAP, ES2_SNPA, None), holding_time=60)
-    node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 0)
+    receive(node, frame_with(rd, IS_SNPA, ES_SNPA), 0)
     entry = node.rib.lookup_redirect(ES2_NSAP, 1)
     assert entry.expiry == 60
     # Reverse traffic over the same SNPA refreshes...
-    events = node.handle_frame(Frame(ES_SNPA, ES2_SNPA,
-                                     encode_clnp(ES2_NSAP, ES_NSAP)), 10)
+    events = receive(node, Frame(ES_SNPA, ES2_SNPA,
+                                 encode_clnp(ES2_NSAP, ES_NSAP)), 10)
     assert any(isinstance(ev, RedirectEntry) for ev in events)
     assert node.rib.lookup_redirect(ES2_NSAP, 10).expiry == 70
     # ...a different SNPA does not.
-    assert node.handle_frame(Frame(ES_SNPA, IS_SNPA,
-                                   encode_clnp(ES2_NSAP, ES_NSAP)), 20) == []
+    assert receive(node, Frame(ES_SNPA, IS_SNPA,
+                               encode_clnp(ES2_NSAP, ES_NSAP)), 20) == []
     assert node.rib.lookup_redirect(ES2_NSAP, 20).expiry == 70
 
 
 def test_redirect_entries_are_frozen():
     node = make_es()
     rd = Pdu(RdBody(ES2_NSAP, ES2_SNPA, None), holding_time=60)
-    [entry] = node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 0)
+    [entry] = receive(node, frame_with(rd, IS_SNPA, ES_SNPA), 0)
     with pytest.raises(AttributeError):
         entry.expiry = 99
 
@@ -339,15 +339,15 @@ def test_redirect_entries_are_frozen():
 def test_rd_event_held_across_later_changes_keeps_its_expiry_and_line():
     node = make_es()
     rd = Pdu(RdBody(ES2_NSAP, ES2_SNPA, IS_NET), holding_time=60)
-    [held] = node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 0)
+    [held] = receive(node, frame_with(rd, IS_SNPA, ES_SNPA), 0)
     line = f"RD {ES2_NSAP.hex()} -> {ES2_SNPA.hex()} net {IS_NET.hex()} expires "
     # Reverse traffic over the redirected path refreshes the redirect...
-    [refreshed] = node.handle_frame(Frame(ES_SNPA, ES2_SNPA,
-                                          encode_clnp(ES2_NSAP, ES_NSAP)), 10)
+    [refreshed] = receive(node, Frame(ES_SNPA, ES2_SNPA,
+                                      encode_clnp(ES2_NSAP, ES_NSAP)), 10)
     assert (refreshed.expiry, refreshed.line) == (70, line + "70")
     assert node.rib.redirects[ES2_NSAP] is refreshed
     # ...and a later RD replaces it; neither touches an event already returned.
-    [replaced] = node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 20)
+    [replaced] = receive(node, frame_with(rd, IS_SNPA, ES_SNPA), 20)
     assert (replaced.expiry, replaced.line) == (80, line + "80")
     assert (held.expiry, held.line) == (60, line + "60")
     assert (refreshed.expiry, refreshed.line) == (70, line + "70")
@@ -390,11 +390,11 @@ def test_clnp_with_an_address_outside_1_to_20_octets_is_ignored(source, destinat
     payload = encode_clnp(source, destination)
     assert decode_clnp(payload) is None
     at_is = make_is(forwarding_table=(ForwardingEntry(b"\x49", IS_NET, ES2_SNPA),))
-    at_is.handle_frame(frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=50), ES2_SNPA), 0)
+    receive(at_is, frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=50), ES2_SNPA), 0)
     at_es = make_es()
     at_es.rib.record_redirect(source, ES2_SNPA, None, 60, 0)
     for node in (at_is, at_es):
-        assert node.handle_frame(Frame(node.config.snpa, ES2_SNPA, payload), 5) == []
+        assert receive(node, Frame(node.config.snpa, ES2_SNPA, payload), 5) == []
 
 
 def test_rd_with_holding_time_zero_is_recorded_and_logged():
@@ -402,7 +402,7 @@ def test_rd_with_holding_time_zero_is_recorded_and_logged():
     # damaged RD can arrive with holding time 0 and expire as it lands.
     node = make_es()
     rd = Pdu(RdBody(ES2_NSAP, ES2_SNPA, None), holding_time=0)
-    assert [ev.line for ev in node.handle_frame(frame_with(rd, IS_SNPA, ES_SNPA), 8)] == [
+    assert [ev.line for ev in receive(node, frame_with(rd, IS_SNPA, ES_SNPA), 8)] == [
         f"RD {ES2_NSAP.hex()} -> {ES2_SNPA.hex()} expires 8"]
     assert node.rib.lookup_redirect(ES2_NSAP, 8) is None
 
@@ -430,7 +430,7 @@ def test_esh_after_esct_carries_the_new_holding_time():
     ish = Pdu(IshBody(IS_NET), holding_time=60,
               options=(Option(OptionCode.ESCT, b"\x00\x07"),))
     # The reply to a new IS goes out before the ESCT is applied.
-    reply = sent_pdus(node.handle_frame(frame_with(ish, IS_SNPA, ES_SNPA), 1))
+    reply = sent_pdus(receive(node, frame_with(ish, IS_SNPA, ES_SNPA), 1))
     assert [p.holding_time for p, _ in reply] == [20]
     assert [p.holding_time for p in hello_pdus(node, 8)] == [14]
 
@@ -438,8 +438,8 @@ def test_esh_after_esct_carries_the_new_holding_time():
 def test_es_sends_esh_with_acquired_net_after_aa():
     node = make_es(local_nsaps=())
     assert [type(p.body) for p in hello_pdus(node, 0)] == [RaBody]
-    node.handle_frame(frame_with(Pdu(AaBody(ES2_NSAP), holding_time=60),
-                                 IS_SNPA, ES_SNPA), 1)
+    receive(node, frame_with(Pdu(AaBody(ES2_NSAP), holding_time=60),
+                             IS_SNPA, ES_SNPA), 1)
     # No IS is known yet, so the ESH goes to both groups.
     assert [p.body for p in hello_pdus(node, 10)] == [EshBody((ES2_NSAP,))] * 2
 
@@ -454,7 +454,7 @@ def test_hellos_encode_each_distinct_pdu_once(monkeypatch):
             for ev in node.on_config_timer(now):
                 if isinstance(ev, Frame):
                     sends += 1
-                    for reply in peer.handle_frame(ev, now):
+                    for reply in receive(peer, ev, now):
                         sends += isinstance(reply, Frame)
     # At t=0 the ESH to both groups, the ISH reply to it, the ISH hello and
     # the ESH reply to that; then one hello per node for five periods.
@@ -471,7 +471,7 @@ def test_repeated_replies_and_redirects_build_no_pdu(monkeypatch):
               (Pdu(RaBody()), ES_SNPA), (MinimalClnpPdu(ES_NSAP, ES2_NSAP), ES_SNPA)]
 
     def replies(now):
-        return [[ev for ev in node.handle_pdu(p, source, now) if isinstance(ev, Frame)][0]
+        return [[ev for ev in node.handle_frame(p, source, now) if isinstance(ev, Frame)][0]
                 for p, source in inputs]
 
     first = replies(0)
@@ -498,8 +498,8 @@ def test_ish_reply_and_aa_with_equal_nets_carry_different_payloads():
     # The AA for this SNPA names the IS's own NET, so only the body class
     # tells the two PDUs apart.
     assert node.assign_temporary_net(snpa) == IS_NET
-    ish = node.handle_pdu(Pdu(EshBody((ES_NSAP,)), holding_time=60), snpa, 0)[-1]
-    aa = node.handle_pdu(Pdu(RaBody()), snpa, 0)[-1]
+    ish = node.handle_frame(Pdu(EshBody((ES_NSAP,)), holding_time=60), snpa, 0)[-1]
+    aa = node.handle_frame(Pdu(RaBody()), snpa, 0)[-1]
     assert ish.destination == aa.destination == snpa
     assert [type(decode(ev.payload).body) for ev in (ish, aa)] == [IshBody, AaBody]
 
@@ -524,51 +524,9 @@ def random_payload(rng: random.Random, kind: str) -> bytes:
     return random_nsap(rng, rng.randint(0, 20))  # raw octets, maybe empty
 
 
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32), kind=st.sampled_from(["esis", "atn-esis", "clnp", "raw"]),
-       flips=st.lists(st.tuples(st.integers(0, 254), st.integers(0, 255)), max_size=2),
-       cut=st.none() | st.integers(0, 60), profile=st.sampled_from([LENIENT, ATN]),
-       intermediate=st.booleans(), source=st.sampled_from([ES_SNPA, ES2_SNPA, IS_SNPA]))
-def test_handle_frame_is_handle_pdu_of_decode_payload(seed, kind, flips, cut, profile,
-                                                      intermediate, source):
-    rng = random.Random(seed)
-    payload = bytearray(random_payload(rng, kind)[:cut])
-    for index, value in flips:
-        if payload:
-            payload[index % len(payload)] = value
-    forwarding = (ForwardingEntry(b"\x49", IS_NET, ES2_SNPA),)
-    framed, split = [make_is(validation_profile=profile, forwarding_table=forwarding)
-                     if intermediate else make_es(validation_profile=profile)
-                     for _ in range(2)]
-    # Both nodes have seen the same traffic before, so the RIB paths are live.
-    for node in (framed, split):
-        node.handle_frame(frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=50), ES2_SNPA), 0)
-        node.handle_frame(frame_with(Pdu(IshBody(IS_NET), holding_time=50), IS_SNPA), 0)
-    frame = Frame(ALL_ES, source, bytes(payload))
-    got = framed.handle_frame(frame, 5)
-    want = split.handle_pdu(decode_payload(frame.payload, profile), frame.source, 5)
-    assert got == want
-    assert framed.rib.dump(5) == split.rib.dump(5)
-    assert (framed.ct, framed.acquired_net) == (split.ct, split.acquired_net)
-    if source == framed.config.snpa or not payload:
-        assert got == []
-
-
-def test_frame_from_a_source_that_is_not_6_octets_is_ignored():
-    # Learned via a 1-octet SNPA, ES2 would later make the IS build an RD
-    # that encode refuses.
-    node = make_is()
-    esh = frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=60), b"\x01")
-    assert node.handle_frame(esh, 0) == []
-    assert node.rib.num_of_entry == 0
-    clnp = Frame(IS_SNPA, ES_SNPA, encode_clnp(ES_NSAP, ES2_NSAP))
-    assert node.handle_frame(clnp, 1) == []
-    # From a 6-octet SNPA the same frames are learned and redirected.
-    node.handle_frame(Frame(esh.destination, ES2_SNPA, esh.payload), 2)
-    assert RedirectIssued(ES2_NSAP, ES2_SNPA) in node.handle_frame(clnp, 3)
-
-
-SOURCES = st.sampled_from([ES_SNPA, ES2_SNPA, IS_SNPA]) | st.binary(max_size=8)
+# `Simulator.transmit` refuses a source that is not 6 octets, so no node is
+# handed one.
+SOURCES = st.sampled_from([ES_SNPA, ES2_SNPA, IS_SNPA]) | st.binary(min_size=6, max_size=6)
 DESTINATIONS = st.sampled_from([ALL_ES, ALL_IS, BROADCAST, ES_SNPA, IS_SNPA]) | st.binary(max_size=8)
 PAYLOADS = st.tuples(st.integers(0, 2**32),
                      st.sampled_from(["esis", "atn-esis", "clnp", "raw", "es2"]))
@@ -588,7 +546,7 @@ def test_handle_frame_never_raises_and_sends_only_frames_that_decode(frames, pro
             payload = frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=60), source).payload
         else:
             payload = random_payload(rng, kind)
-        for ev in node.handle_frame(Frame(destination, source, payload), now):
+        for ev in receive(node, Frame(destination, source, payload), now):
             assert isinstance(ev, typing.get_args(EngineEvent))
             if isinstance(ev, Frame):
                 assert len(ev.destination) == 6 and ev.source == node.config.snpa
@@ -603,21 +561,24 @@ def test_handle_frame_never_raises_and_sends_only_frames_that_decode(frames, pro
 
 
 @pytest.mark.parametrize("octets", [bytes, bytearray, memoryview], ids=lambda t: t.__name__)
-def test_handle_frame_reads_any_bytes_like_source_and_payload(octets):
-    # A bytearray frame once decoded to bytearray fields, which the RIB
-    # could not hash.
-    def as_octets(frame):
-        return Frame(frame.destination, octets(frame.source), octets(frame.payload))
-
+def test_decode_payload_reads_any_bytes_like_payload_as_bytes(octets):
+    # A bytearray CLNP payload once decoded to bytearray fields, and a node
+    # handed that decode raised `TypeError: unhashable type: 'bytearray'`.
+    clnp = encode_clnp(ES_NSAP, ES2_NSAP)
+    decoded = decode_payload(octets(clnp), LENIENT)
+    assert decoded == MinimalClnpPdu(ES_NSAP, ES2_NSAP)
+    assert [type(address) for address in decoded] == [bytes, bytes]
     at_is = [frame_with(Pdu(EshBody((ES2_NSAP,)), holding_time=60), ES2_SNPA),
-             Frame(IS_SNPA, ES_SNPA, encode_clnp(ES_NSAP, ES2_NSAP))]
+             Frame(IS_SNPA, ES_SNPA, clnp)]
+    # The RD's next hop is ES2, so ES2's CLNP frame refreshes it.
     at_es = [frame_with(Pdu(IshBody(IS_NET), holding_time=60), IS_SNPA, ES_SNPA),
-             frame_with(Pdu(RdBody(ES2_NSAP, ES2_SNPA), holding_time=60), IS_SNPA, ES_SNPA)]
+             frame_with(Pdu(RdBody(ES2_NSAP, ES2_SNPA), holding_time=60), IS_SNPA, ES_SNPA),
+             Frame(ES_SNPA, ES2_SNPA, encode_clnp(ES2_NSAP, ES_NSAP))]
     for make, frames in ((make_is, at_is), (make_es, at_es)):
         node, reference = make(), make()
         for now, frame in enumerate(frames):
-            got = node.handle_frame(as_octets(frame), now)
-            assert got == reference.handle_frame(frame, now)
+            got = receive(node, frame._replace(payload=octets(frame.payload)), now)
+            assert got == receive(reference, frame, now) != []
             assert all(type(ev) is not Frame or type(ev.payload) is bytes
                        for ev in got)
         assert node.rib.dump(5) == reference.rib.dump(5) != []

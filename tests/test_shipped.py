@@ -1,8 +1,10 @@
 """Every shipped scenario's `esis run --dump-ribs` output, to stdout and to a
 `--log` file, is byte for byte the one recorded in bench/digests.json (which
 this test only reads), whatever the interpreter's hash seed; no IS in a
-shipped scenario ever holds an IS entry; and every RIB value's `line` is
-the one its other fields render, every virtual second."""
+shipped scenario ever holds an IS entry; every RIB value's `line` is the
+one its other fields render, every virtual second; every frame a node
+receives is one `Node.handle_frame` call; and the log alone rebuilds the
+RIB dump."""
 
 import hashlib
 import json
@@ -14,9 +16,9 @@ from pathlib import Path
 import pytest
 
 from esis.cli import main
-from esis.engine import Role
+from esis.engine import Node, Role
 from esis.scenario import build_simulator, load_scenario
-from helpers import misrendered_rib_values
+from helpers import misrendered_rib_values, replayed_ribs
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.scn"))
@@ -78,3 +80,27 @@ def test_every_rib_value_line_renders_its_fields(path):
     for t in range(sc.until + 1):
         sim.run_until(t)
         assert misrendered_rib_values(sim) == [], t
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_every_delivery_is_one_handle_frame_call(path, monkeypatch):
+    # `handle_frame` is the one receive path, the method the traced benchmark
+    # wraps, so each RECV line is one call of it.
+    calls = []
+    handle_frame = Node.handle_frame
+    monkeypatch.setattr(Node, "handle_frame",
+                        lambda node, *args: calls.append(args) or handle_frame(node, *args))
+    sc = load_scenario(str(path))
+    log = build_simulator(sc).run_until(sc.until)
+    assert len(calls) == sum(" RECV src=" in line for line in log) > 0
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_the_log_alone_rebuilds_the_rib_dump(path):
+    # The log carries every RIB change in order, so no change goes unlogged.
+    sc = load_scenario(str(path))
+    sim = build_simulator(sc)
+    log = sim.run_until(sc.until)
+    dump = sim.dump_ribs(sc.until)
+    assert replayed_ribs(log, [d.name for d in sc.nodes], sc.until) == dump
+    assert len(dump) > len(sc.nodes)
