@@ -98,13 +98,13 @@ class ForwardingEntry:
     next_is_snpa: bytes
 
     def __post_init__(self) -> None:
-        if address_fault(_NSAP_OR_EMPTY, self.prefix, LENIENT) is not None:
+        if address_fault(_NSAP_OR_EMPTY, self.prefix) is not None:
             raise ValueError(f"a forwarding prefix must be {_NSAP_OR_EMPTY.value}, "
                              f"got {self.prefix.hex()!r}")
         if len(self.next_is_snpa) != SNPA_LEN:
             raise ValueError(f"a forwarding SNPA must be {SNPA_LEN} octets, "
                              f"got {self.next_is_snpa.hex()!r}")
-        if address_fault(_NSAP_OR_EMPTY, self.next_is_net, LENIENT) is not None:
+        if address_fault(_NSAP_OR_EMPTY, self.next_is_net) is not None:
             raise ValueError(f"a forwarding NET must be {_NSAP_OR_EMPTY.value}, "
                              f"got {self.next_is_net.hex()!r}")
 
@@ -164,7 +164,7 @@ class Node:
             raise ValueError(f"snpa must be {SNPA_LEN} octets, got {config.snpa.hex()!r}")
         nsaps = config.local_nsaps
         for addr in nsaps if config.local_net is None else (*nsaps, config.local_net):
-            if address_fault(_NSAP, addr, LENIENT) is not None:
+            if address_fault(_NSAP, addr) is not None:
                 raise ValueError(f"a local NSAP or NET must be {_NSAP.value}, got {addr.hex()!r}")
         esh_length = FIXED_LEN + 1 + len(nsaps) + sum(map(len, nsaps))
         if esh_length > 255:

@@ -13,9 +13,10 @@ failure: NLPID, fixed-part length, version, length indicator, checksum
 failure is one `DiscardReason` member, whose value is the text its DISCARD
 line shows. Address rules run in place on the length and first octets,
 with no helper call per address, under the profile's stored NSAP rule;
-each option goes through `_option_fault`, which `encode` shares. One table
-lookup on the type octet gives the body class, type and address part. Each
-`Pdu` and `Option` is built in C, from `object.__new__` and its slots'
+`encode` and the API ask `address_fault`, the lenient rule. Each option
+goes through `_option_fault`, which `encode` shares. One table lookup on
+the type octet gives the body class, type and address part. Each `Pdu`
+and `Option` is built in C, from `object.__new__` and its slots'
 `__set__`, past the frozen `__init__`: the value its constructor builds.
 """
 
@@ -35,6 +36,7 @@ FIXED_LEN = 9
 
 MAX_NSAP_LEN = 20
 SNPA_LEN = 6
+ATN_AFI = 0x47  # the AFI every ATN NSAP starts with (ICAO Doc 9705)
 
 
 class PduType(enum.IntEnum):
@@ -106,18 +108,15 @@ class InvariantViolation(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class ValidationProfile:
-    """NSAP acceptance rule applied while decoding address parts."""
+    """Decode's NSAP rule: lenient, 1..20 octets, or ATN, 20 octets led by ATN_AFI."""
 
     atn: bool = False
-    afi: int = 0x47
     # The shortest NSAP length accepted, and the first octet required or None;
-    # stored, as it is read for every frame decoded and every PDU encoded.
+    # stored, as it is read for every frame decoded.
     nsap_rule: tuple[int, int | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.afi <= 0xFF:
-            raise ValueError(f"afi must be one octet, 0..255, got {self.afi}")
-        object.__setattr__(self, "nsap_rule", (MAX_NSAP_LEN, self.afi) if self.atn else (1, None))
+        object.__setattr__(self, "nsap_rule", (MAX_NSAP_LEN, ATN_AFI) if self.atn else (1, None))
 
 
 LENIENT = ValidationProfile()
@@ -219,19 +218,13 @@ _set_body, _set_holding_time, _set_options, _set_checksum = (
 _set_code, _set_value = (getattr(Option, name).__set__ for name in Option.__slots__)
 
 
-def address_fault(part: Part, addr: bytes,
-                  profile: ValidationProfile) -> DiscardReason | None:
-    """The rule of `part` that `addr` breaks under `profile`, or None."""
+def address_fault(part: Part, addr: bytes) -> DiscardReason | None:
+    """The lenient rule of `part` that `addr` breaks, or None: an SNPA is 6
+    octets, an empty NSAP_OR_EMPTY passes, any other NSAP is 1..20 octets."""
     if part is _SNPA:
         return None if len(addr) == SNPA_LEN else _BAD_ADDRESS_LENGTH
-    if part is _NSAP_OR_EMPTY and not addr:
-        return None
-    shortest, afi = profile.nsap_rule
-    if not shortest <= len(addr) <= MAX_NSAP_LEN:
-        return _BAD_ADDRESS_LENGTH
-    if afi is not None and addr[0] != afi:
-        return _BAD_ADDRESS_VALUE
-    return None
+    ok = 1 <= len(addr) <= MAX_NSAP_LEN or part is _NSAP_OR_EMPTY and not addr
+    return None if ok else _BAD_ADDRESS_LENGTH
 
 
 def read_parts(buf: bytes, off: int, end: int, parts: tuple[tuple[str, Part], ...],
@@ -323,7 +316,7 @@ def encode(pdu: Pdu) -> bytes:
             value = (value,)
         for addr in value:
             addr = addr or b""  # NSAP_OR_EMPTY: None is written as length 0
-            if address_fault(part, addr, LENIENT) is not None:
+            if address_fault(part, addr) is not None:
                 raise InvariantViolation(f"{name} must be {part.value}")
             out.append(len(addr))
             out += addr

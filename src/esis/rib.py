@@ -189,10 +189,11 @@ class Rib:
         return True
 
     def next_hop(self, destination: bytes, now: int) -> NextHop:
-        """Redirect first, then direct ES neighbor, then any live IS."""
+        """Redirect first, then direct ES neighbor, then any live IS. A
+        redirect with a NET names an IS (ISO 9542), so its hop is VIA_IS."""
         r = self.lookup_redirect(destination, now)
         if r is not None:
-            return _new(NextHop, (_DIRECT, r.better_snpa))
+            return _new(NextHop, (_VIA_IS if r.redirect_net else _DIRECT, r.better_snpa))
         e = self.es_neighbors.get(destination)
         if e is not None and e.expiry > now:
             return _new(NextHop, (_DIRECT, e.snpa))

@@ -3,7 +3,7 @@
 Grammar (one statement per line, '#' starts a comment):
 
   node <name> role=es|is snpa=<hex6> [nsap=<hex>]... [net=<hex>]
-       [ct=<int>] [multiplier=<int>] [start=<int>] [profile=lenient|atn] [afi=<hexbyte>]
+       [ct=<int>] [multiplier=<int>] [start=<int>] [profile=lenient|atn]
   forward <is-name> prefix=<hex> net=<hex> snpa=<hex6>
   latency <int>
   seed <int>
@@ -20,7 +20,7 @@ a key the node's role never reads: `net=` on an es node, `nsap=` on an is
 node, a `forward` line for an es node. `latency`, `seed`, `until` and `drop`
 take one value each. Fault ordinals count transmit calls from 1 across the
 run, so are ≥ 1, with one `corrupt` line each at most; a corrupt index is
-≥ 0, and `afi` and a corrupt value one octet. An integer is ASCII digits
+≥ 0, and a corrupt value one octet. An integer is ASCII digits
 after an optional `-`; a colon in hex may stand only between whole octets.
 The parser keeps its time checks, `latency`, `until`, `start` and `at`
 times ≥ 0, as `latency` and `until` carry no line past it and `at` values
@@ -138,18 +138,19 @@ def _pick(options: dict[str, object], text: str, what: str) -> object:
     return options[text]
 
 
+# The two NSAP rules a node may decode under, built once; lenient is the default.
+_PROFILES = {"lenient": ValidationProfile(), "atn": ValidationProfile(atn=True)}
 # Each node key's converter, called as convert(value, key) so an error names the key.
 _NODE_KEYS: dict[str, Callable[[str, str], object]] = {
     "role": partial(_pick, {role.value: role for role in Role}),
     "snpa": _hex, "nsap": _hex, "net": _hex, "ct": _int, "multiplier": _int,
-    "start": partial(_int, minimum=0), "afi": _octet,
-    "profile": partial(_pick, {"lenient": False, "atn": True}),
+    "start": partial(_int, minimum=0),
+    "profile": partial(_pick, _PROFILES),
 }
 _FORWARD_KEYS = dict.fromkeys(("prefix", "net", "snpa"), _hex)
 
 
-def _parse_node(args: list[str], nodes: dict[str, NodeDecl],
-                profiles: dict[tuple[bool, int], ValidationProfile]) -> NodeDecl:
+def _parse_node(args: list[str], nodes: dict[str, NodeDecl]) -> NodeDecl:
     if not args:
         raise ValueError("node needs a name")
     name = args[0]
@@ -165,16 +166,11 @@ def _parse_node(args: list[str], nodes: dict[str, NodeDecl],
     unread = "nsap" if role is Role.INTERMEDIATE_SYSTEM else "net"
     if unread in values:
         raise ValueError(f"an {role.value} node takes no {unread}=")
-    # One frozen profile per distinct setting per parse: nodes with equal
-    # settings share it, and `add_node` finds their decode table by value.
-    settings = values.get("profile", False), values.get("afi", 0x47)
-    profile = profiles.get(settings)
-    if profile is None:
-        profile = profiles[settings] = ValidationProfile(*settings)
     nsaps = tuple(value for key, value in pairs if key == "nsap")
     config = NodeConfig(role, values["snpa"], nsaps, values.get("net"),
                         configuration_timer=values.get("ct", 30),
-                        holding_multiplier=values.get("multiplier", 2), validation_profile=profile)
+                        holding_multiplier=values.get("multiplier", 2),
+                        validation_profile=values.get("profile", _PROFILES["lenient"]))
     decl = nodes[name] = NodeDecl(name, config, values.get("start", 0))
     return decl
 
@@ -229,7 +225,6 @@ def parse_scenario(text: str) -> Scenario:
     refuses no value that `Node`, `add_node` or `inject_clnp` owns."""
     sc = Scenario()
     nodes: dict[str, NodeDecl] = {}
-    profiles: dict[tuple[bool, int], ValidationProfile] = {}
     times: dict[str, int] = {}
     nsaps: dict[str, bytes] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -245,7 +240,7 @@ def parse_scenario(text: str) -> Scenario:
                 action.lineno = lineno
                 sc.actions.append(action)
             elif stmt == "node":
-                _parse_node(args[1:], nodes, profiles).lineno = lineno
+                _parse_node(args[1:], nodes).lineno = lineno
             elif stmt == "forward":
                 _parse_forward(args[1:], nodes)
             elif stmt == "latency":

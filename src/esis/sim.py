@@ -12,9 +12,9 @@ simulator's own `now`. The delivery skips the sender by name, and nothing
 else tests the sender, so a frame only its sender hears queues a delivery
 that logs nothing. Each receiver's one input step is `Node.handle_frame`,
 after `decode_payload`: it acts on the decode of the payload in its own
-table, the one for its profile's NSAP rule, the only part of a profile that
-decode reads. The table is found when the node is added, as the role and
-SNPA that place it in the delivery map are. A simulator decodes each
+table, the one for its profile's NSAP rule, lenient or ATN. The table is
+found when the node is added, as the role and SNPA that place it in the
+delivery map are. A simulator decodes each
 distinct (payload, NSAP rule) pair once. The simulator owns the `EntryPool`
 of every node's RIB, so the receivers of a hello share one frozen RIB entry,
 rendered once, and the pool holds one time step's entries. A RIB event is
@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 
 from .engine import (AddressAssigned, Frame, Node, NodeConfig, RedirectIssued, TimerSet,
                      decode_payload)
-from .pdu import (LENIENT, MAX_NSAP_LEN, SNPA_LEN, DiscardReason, Part, ValidationProfile,
-                  address_fault)
+from .pdu import MAX_NSAP_LEN, SNPA_LEN, DiscardReason, Part, ValidationProfile, address_fault
 from .rib import EntryPool, RedirectEntry, RibEntry
 
 _NSAP = Part.NSAP
@@ -151,8 +150,8 @@ class Simulator:
 
     def inject_clnp(self, at: int, from_node: str, source_nsap: bytes,
                     dest_nsap: bytes) -> None:
-        if (address_fault(_NSAP, source_nsap, LENIENT) is not None
-                or address_fault(_NSAP, dest_nsap, LENIENT) is not None):
+        if (address_fault(_NSAP, source_nsap) is not None
+                or address_fault(_NSAP, dest_nsap) is not None):
             raise ValueError(f"CLNP addresses must be NSAPs of length 1..{MAX_NSAP_LEN}, got "
                              f"source {source_nsap.hex()!r} and destination {dest_nsap.hex()!r}")
         self._schedule(at, Simulator._send_clnp, self._require_node(from_node),
@@ -225,8 +224,8 @@ class Simulator:
         receiver in add order that is up and is not the frame's sender.
 
         Each receiver reads the decode from its own table in `_decoded`,
-        found by its profile's NSAP rule when it was added, so profiles that
-        decode alike share decodes. The table is keyed on the payload alone
+        found by its profile's NSAP rule when it was added, so nodes of one
+        rule share decodes. The table is keyed on the payload alone
         and decodes only a payload not seen before. Decode results are frozen,
         so receivers and later frames share them.
         """

@@ -2,16 +2,16 @@
 running sums one octet at a time, the exhaustive checksum-pair search
 oracle built on them, a check of RIB values' rendered lines, a node's
 receive step as the simulator takes it, and the RIB dump rebuilt from a
-log alone. Like the package, the suite uses only the standard library,
-pytest and hypothesis."""
+log alone, whose lines are checked to come in the order the simulator's
+steps log them. Like the package, the suite uses only the standard
+library, pytest and hypothesis."""
 
 from __future__ import annotations
 
 import random
 
-from esis.engine import decode_payload
-from esis.pdu import (AaBody, EshBody, IshBody, Option, OptionCode, Pdu,
-                      PduType, RaBody, RdBody, encode)
+from esis.engine import ALL_ES, ALL_IS, decode_payload
+from esis.pdu import AaBody, EshBody, IshBody, Option, OptionCode, Pdu, RaBody, RdBody
 from esis.rib import RedirectEntry
 
 _BODY_KINDS = ("esh", "ish", "rd", "ra", "aa")
@@ -151,3 +151,42 @@ def replayed_ribs(log: list[str], names: list[str], until: int) -> list[str]:
         dump += [entry for table in tables[name].values() for entry in table.values()
                  if _expiry(entry) > until]
     return dump
+
+
+_HELLO_GROUPS = (ALL_ES.hex(), ALL_IS.hex())  # where a timer fire sends its hellos
+
+
+def misordered_lines(log: list[str]) -> list[str]:
+    """Each place where `log` leaves the order the simulator's steps log in.
+
+    A step is a reception, a timer fire or a `sendclnp`, all of one node at
+    one time. A reception is a RECV line, then what the node did, with no
+    other node's line between: ASSIGN, DISCARD, REDIRECT, RIB and SEND
+    lines, and a TIMER for an ESCT option. A timer fire is SEND lines to the
+    all-ES or all-IS group, closed by its TIMER line. A `sendclnp` is one
+    SEND to any other destination; this assumes no node's SNPA is a group
+    address, as a send goes to the SNPA a frame came from or to broadcast.
+    """
+    found = []
+    step = None  # (kind, t, node) of the step the last line belongs to
+    for line in log:
+        t, node, event, details = line.split(" ", 3)
+        hello = event == "SEND" and details[4:16] in _HELLO_GROUPS
+        if step is not None and step[0] == "FIRE" and (
+                step[1:] != (t, node) or not (hello or event == "TIMER")):
+            found.append(f"{step[1]} {step[2]}: timer fire not closed by its TIMER")
+        if event == "RECV":
+            step = ("RECV", t, node)
+        elif step == ("RECV", t, node):
+            continue
+        elif event == "SEND":
+            step = ("FIRE" if hello else "SEND", t, node)
+        elif event == "TIMER" and step == ("FIRE", t, node):
+            step = None
+        else:
+            found.append(f"{line}: not part of a RECV of its node at its time"
+                         + (" or a timer fire" if event == "TIMER" else ""))
+            step = None
+    if step is not None and step[0] == "FIRE":
+        found.append(f"{step[1]} {step[2]}: timer fire not closed by its TIMER")
+    return found

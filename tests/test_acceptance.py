@@ -6,7 +6,6 @@ import time
 from dataclasses import replace
 
 from esis.checksum import ChecksumVerdict, generate_checksum, verify_checksum
-from esis.engine import Role
 from esis.pdu import DiscardReason, EshBody, Pdu, decode, encode
 from esis.rib import EntryKind, HopKind, InsertResult, Rib
 from esis.scenario import build_simulator, load_scenario

@@ -7,7 +7,8 @@ import pytest
 
 from esis.checksum import CSUM_POS
 from esis.cli import _FIXED_FIELDS, main
-from esis.pdu import FIXED_LEN, OPTION_RULES, PduType
+from esis.pdu import ATN, FIXED_LEN, LENIENT, OPTION_RULES, PduType, ValidationProfile
+from esis.rib import HopKind
 from esis.scenario import ScenarioError, build_simulator, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -166,7 +167,7 @@ def test_parser_action_unknown_node():
 def test_parser_full_file():
     sc = parse_scenario(
         "node A role=es snpa=02:00:00:00:00:01 nsap=4900 ct=5 multiplier=3\n"
-        "node R role=is snpa=020000000002 net=49ff start=7 profile=atn afi=47\n"
+        "node R role=is snpa=020000000002 net=49ff start=7 profile=atn\n"
         "forward R prefix=49 net=48ff snpa=020000000003\n"
         "latency 2\nseed 11\nuntil 30\ndrop 2\ncorrupt 1 random random\n"
         "at 9 sendclnp A 4900 4901\n")
@@ -180,21 +181,19 @@ def test_parser_full_file():
     assert sc.actions[0].kind == "sendclnp"
 
 
-def test_parser_shares_one_profile_per_distinct_setting():
-    sc = parse_scenario(
-        "node A role=es snpa=020000000001\n"
-        "node B role=es snpa=020000000002 profile=lenient afi=47\n"
-        "node C role=es snpa=020000000003 profile=atn\n"
-        "node D role=es snpa=020000000004 profile=atn afi=47\n"
-        "node E role=es snpa=020000000005 profile=atn afi=39\n")
-    a, b, c, d, e = (decl.config.validation_profile for decl in sc.nodes)
+def test_parser_shares_one_profile_per_distinct_setting(monkeypatch):
+    # The two profiles are built once, at import: parsing builds none.
+    monkeypatch.setattr(ValidationProfile, "__post_init__", lambda self: pytest.fail("built"))
+    text = ("node A role=es snpa=020000000001\n"
+            "node B role=es snpa=020000000002 profile=lenient\n"
+            "node C role=es snpa=020000000003 profile=atn\n"
+            "node D role=es snpa=020000000004 profile=atn\n")
+    a, b, c, d = (decl.config.validation_profile for decl in parse_scenario(text).nodes)
     assert a is b and c is d
-    assert a != c and c != e
-    assert (e.atn, e.afi) == (True, 0x39)
-    # The sharing is per parse: a second parse makes profiles of its own.
-    again = parse_scenario("node A role=es snpa=020000000001\n").nodes[0]
-    assert again.config.validation_profile == a
-    assert again.config.validation_profile is not a
+    assert (a, c) == (LENIENT, ATN) and a.nsap_rule == (1, None) and c.nsap_rule == (20, 0x47)
+    # A second parse shares them too.
+    again = [decl.config.validation_profile for decl in parse_scenario(text).nodes]
+    assert again[1] is a and again[2] is c
 
 
 def test_parser_shares_one_value_per_distinct_at_token():
@@ -225,8 +224,9 @@ def test_parser_shares_one_value_per_distinct_at_token():
 @pytest.mark.parametrize("line, msg", [
     ("latency -3", "latency must be ≥ 0"),
     ("at -4 down A", "time must be ≥ 0"),
-    ("node B role=es snpa=020000000002 afi=", "afi must be one octet"),
-    ("node B role=es snpa=020000000002 afi=0102", "afi must be one octet"),
+    # A profile is lenient or atn; no key picks another AFI.
+    ("node B role=es snpa=020000000002 afi=", "unknown node key 'afi'"),
+    ("node B role=es snpa=020000000002 afi=47", "unknown node key 'afi'"),
     ("corrupt 1 0 abcd", "value must be one octet"),
     ("corrupt 1 0 zz", "bad hex for value"),
     ("latency 1 2", "latency takes exactly one value"),
@@ -308,7 +308,7 @@ def test_run_rejects_bad_values(capsys, tmp_path, line, msg):
 
 def test_run_accepts_zero_latency_and_time(capsys, tmp_path):
     ok = tmp_path / "ok.scn"
-    ok.write_text("node A role=es snpa=020000000001 nsap=4900 afi=49\n"
+    ok.write_text("node A role=es snpa=020000000001 nsap=4900\n"
                   "latency 0\nuntil 1\nat 0 down A\ncorrupt 1 0 ff\n")
     code, _, err = run_cli(capsys, "run", str(ok))
     assert code == 0 and err == ""
@@ -354,6 +354,47 @@ def test_run_ignores_a_clnp_stub_with_a_21_octet_destination(capsys, tmp_path):
     assert code == 0 and err == ""
     assert "t=7 node=IS1 RECV src=020000000001 payload=8101" in out
     assert " REDIRECT " not in out and "t=7 node=IS1 SEND" not in out
+
+
+# ES1 learns IS1 after IS2, so it sends to 4a01 via IS1, whose forward entry
+# for prefix 4a names IS2: IS1 forwards the frame to IS2 and redirects ES1
+# there with IS2's NET, and ES1's second send goes to IS2, which has no
+# route for it and drops it.
+FORWARD = """\
+node ES1 role=es snpa=020000000001 nsap=4901
+node IS2 role=is snpa=020000000002 net=4902 start=0
+node IS1 role=is snpa=020000000003 net=4903 start=1
+forward IS1 prefix=4a net=4902 snpa=020000000002
+at 5 sendclnp ES1 4901 4a01
+at 8 sendclnp ES1 4901 4a01
+until 10
+"""
+
+
+def test_run_forwards_through_a_forward_entry_and_redirects_to_its_is(capsys, tmp_path):
+    scn = tmp_path / "forward.scn"
+    scn.write_text(FORWARD)
+    code, out, err = run_cli(capsys, "run", str(scn), "--dump-ribs")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith(("t=5 ", "t=6 ", "t=7 ", "t=8 "))] == [
+        "t=5 node=ES1 SEND dst=020000000003 payload=81024901024a01",
+        "t=6 node=IS1 RECV src=020000000001 payload=81024901024a01",
+        "t=6 node=IS1 REDIRECT dest=4a01 via=020000000002",
+        "t=6 node=IS1 SEND dst=020000000001 payload=8216010006003c2a55024a0106020000000002024902",
+        "t=6 node=IS1 SEND dst=020000000002 payload=81024901024a01",
+        "t=7 node=ES1 RECV src=020000000003 payload=8216010006003c2a55024a0106020000000002024902",
+        "t=7 node=ES1 RIB RD 4a01 -> 020000000002 net 4902 expires 67",
+        "t=7 node=IS2 RECV src=020000000003 payload=81024901024a01",
+        "t=8 node=ES1 SEND dst=020000000002 payload=81024901024a01"]
+    # IS2 drops both frames: no line of it follows either RECV.
+    assert lines[lines.index("-- rib ES1 --") - 1] == (
+        "t=9 node=IS2 RECV src=020000000001 payload=81024901024a01")
+    # The redirect carries IS2's NET, so it names an IS as the next hop.
+    sim = build_simulator(parse_scenario(FORWARD))
+    sim.run_until(10)
+    is2_snpa = bytes.fromhex("020000000002")
+    assert sim.node("ES1").rib.next_hop(b"\x4a\x01", 10) == (HopKind.VIA_IS, is2_snpa)
 
 
 @pytest.mark.parametrize("command", ["decode", "run"])

@@ -13,8 +13,8 @@ from esis.engine import (ALL_ES, ALL_IS, BROADCAST, AddressAssigned, EngineEvent
                          RedirectIssued, Role, TimerSet,
                          decode_clnp, decode_payload, encode_clnp)
 from esis.pdu import (ATN, LENIENT, AaBody, DiscardReason, EshBody, IshBody, Option,
-                      OptionCode, Pdu, PduType, RaBody, RdBody, decode, encode)
-from esis.rib import EntryKind, HopKind, RedirectEntry, RibEntry
+                      OptionCode, Pdu, RaBody, RdBody, decode, encode)
+from esis.rib import EntryKind, RedirectEntry, RibEntry
 from helpers import random_nsap, random_pdu, receive
 
 ES_NSAP = b"\x49\x01" + bytes(18)

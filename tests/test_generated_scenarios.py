@@ -10,7 +10,8 @@ arrives at. Every draw takes ct 1..10, start 0..10, latency 0..3, dropped
 and corrupted frames, `forward` entries when the latency is at least 1, and
 a run of at most 60 virtual seconds. Each scenario is parsed and run as `esis run` would run it, and
 its log and RIB dump are checked against properties that hold for every
-run, among them that the log alone rebuilds the dump.
+run, among them that the log alone rebuilds the dump and that each log
+line is part of the step that made it.
 
 The stub CLNP frame has no lifetime, so two IS whose `forward` entries
 point at each other pass a frame back and forth for ever; at latency 0
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from esis.engine import Role
 from esis.scenario import build_simulator, parse_scenario
-from helpers import misrendered_rib_values, replayed_ribs
+from helpers import misordered_lines, misrendered_rib_values, replayed_ribs
 
 SNPAS = [f"02000000000{i}" for i in range(1, 7)]
 # AFI-47 20-octet addresses pass both profiles, the others the lenient one only.
@@ -116,6 +117,7 @@ def check_invariants(text, log, dump):
         if not line.startswith("-- rib "):
             assert int(line.rsplit(" ", 1)[1]) > sc.until, line
     assert replayed_ribs(log, [decl.name for decl in sc.nodes], sc.until) == dump
+    assert misordered_lines(log) == []
 
 
 # Two ES that talk through an IS, each answering the other: the IS redirects

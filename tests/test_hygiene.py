@@ -46,7 +46,7 @@ def test_checker_finds_unused_import():
     assert unused_imports("from __future__ import annotations\n") == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -190,6 +190,7 @@ def built_values() -> dict[str, tuple[type, tuple]]:
     rib.insert_entry(EntryKind.ES_NEIGHBOR, peer_nsap, peer, 60, 0)
     rib.insert_entry(EntryKind.IS_NEIGHBOR, net, is_snpa, 60, 0)
     rib.record_redirect(nsap, is_snpa, None, 60, 0)
+    rib.record_redirect(bytes([0x4a, 1]), is_snpa, net, 60, 0)
     return {
         "clnp_frame": (Frame, es.clnp_frame(nsap, peer_nsap, 0)),
         "hello Frame": (Frame, hello),
@@ -198,6 +199,7 @@ def built_values() -> dict[str, tuple[type, tuple]]:
         "forward Frame": (Frame, forward),
         "decode_clnp": (MinimalClnpPdu, decode_clnp(encode_clnp(nsap, peer_nsap))),
         "next_hop redirect": (NextHop, rib.next_hop(nsap, 0)),
+        "next_hop redirect via IS": (NextHop, rib.next_hop(bytes([0x4a, 1]), 0)),
         "next_hop ES": (NextHop, rib.next_hop(peer_nsap, 0)),
         "next_hop IS": (NextHop, rib.next_hop(bytes(20), 0)),
         "pooled RibEntry": (RibEntry, rib.es_neighbors[peer_nsap]),
@@ -210,8 +212,9 @@ def built_values() -> dict[str, tuple[type, tuple]]:
 
 def test_built_values_cover_each_hop_kind():
     values = built_values()
-    assert [values[f"next_hop {name}"][1].kind for name in ("redirect", "ES", "IS")] == [
-        HopKind.DIRECT, HopKind.DIRECT, HopKind.VIA_IS]
+    names = ("redirect", "redirect via IS", "ES", "IS")
+    assert [values[f"next_hop {name}"][1].kind for name in names] == [
+        HopKind.DIRECT, HopKind.VIA_IS, HopKind.DIRECT, HopKind.VIA_IS]
 
 
 @pytest.mark.parametrize("name", list(built_values()))

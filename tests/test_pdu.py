@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esis.checksum import generate_checksum
-from esis.pdu import (ATN, AaBody, DiscardReason, EshBody, InvariantViolation,
+from esis.pdu import (ATN, ATN_AFI, AaBody, DiscardReason, EshBody, InvariantViolation,
                       IshBody, LENIENT, Option, OptionCode, Pdu, PduType, RaBody,
                       RdBody, ValidationProfile, Part, address_fault, decode, encode)
 from helpers import random_pdu
@@ -143,35 +143,29 @@ def test_truncated():
 
 
 def test_atn_profile():
+    # Decode alone applies a profile; address_fault is the lenient rule.
     atn_addr = b"\x47" + bytes(19)
-    assert address_fault(Part.NSAP, atn_addr, ATN) is None
-    assert address_fault(Part.NSAP, bytes(19), ATN) is DiscardReason.BAD_ADDRESS_LENGTH
-    assert address_fault(Part.NSAP, b"\x48" + bytes(19), ATN) is DiscardReason.BAD_ADDRESS_VALUE
-    assert address_fault(Part.NSAP, b"", LENIENT) is DiscardReason.BAD_ADDRESS_LENGTH
-    assert address_fault(Part.NSAP, bytes(21), LENIENT) is DiscardReason.BAD_ADDRESS_LENGTH
-    assert address_fault(Part.NSAP, b"\x00", LENIENT) is None
+    for addr in (atn_addr, bytes(19), b"\x48" + bytes(19), b"\x00"):
+        assert address_fault(Part.NSAP, addr) is None
+    assert address_fault(Part.NSAP, b"") is DiscardReason.BAD_ADDRESS_LENGTH
+    assert address_fault(Part.NSAP, bytes(21)) is DiscardReason.BAD_ADDRESS_LENGTH
 
-    h = checksummed(Pdu(EshBody((bytes(20),))))
-    assert decode(h, ATN) is DiscardReason.BAD_ADDRESS_VALUE
+    for addr, atn_verdict in ((bytes(19), DiscardReason.BAD_ADDRESS_LENGTH),
+                              (b"\x48" + bytes(19), DiscardReason.BAD_ADDRESS_VALUE)):
+        h = checksummed(Pdu(EshBody((addr,))))
+        assert isinstance(decode(h, LENIENT), Pdu) and decode(h, ATN) is atn_verdict
     assert isinstance(decode(checksummed(Pdu(EshBody((atn_addr,)))), ATN), Pdu)
 
 
 def test_profile_stores_its_nsap_rule_and_compares_without_it():
-    assert LENIENT.nsap_rule == (1, None) and ATN.nsap_rule == (20, 0x47)
-    edge = ValidationProfile(atn=True, afi=0xFF)
-    assert edge.nsap_rule == (20, 0xFF)
-    assert repr(edge) == "ValidationProfile(atn=True, afi=255)"
-    assert replace(edge, afi=0).nsap_rule == (20, 0)
-    assert ValidationProfile(afi=0xFF) == ValidationProfile(afi=0xFF) != LENIENT
-
-
-@pytest.mark.parametrize("afi", [-1, 256, 300])
-def test_profile_refuses_an_afi_that_is_not_one_octet(afi):
-    # Such an afi matches no address octet, so every ATN address would
-    # decode to BadAddressValue.
-    for atn in (True, False):
-        with pytest.raises(ValueError, match=f"afi must be one octet, 0..255, got {afi}"):
-            ValidationProfile(atn=atn, afi=afi)
+    # A profile is lenient or ATN: its one field picks one of two rules.
+    assert LENIENT.nsap_rule == (1, None) and ATN.nsap_rule == (20, ATN_AFI) == (20, 0x47)
+    assert repr(ATN) == "ValidationProfile(atn=True)"
+    assert replace(ATN, atn=False).nsap_rule == (1, None)
+    assert ValidationProfile(atn=True) == ATN != LENIENT == ValidationProfile()
+    assert hash(ValidationProfile()) == hash(LENIENT)
+    with pytest.raises(TypeError):
+        ValidationProfile(atn=True, afi=0x39)
 
 
 def test_esct_zero_is_bad_value():

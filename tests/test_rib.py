@@ -93,6 +93,19 @@ def test_next_hop_precedence():
     assert hop.kind is HopKind.DIRECT and hop.snpa == S3
 
 
+def test_next_hop_of_a_redirect_is_via_is_when_it_carries_a_net():
+    # ISO 9542: an RD that carries a NET names an IS as the better hop; one
+    # without a NET names the destination itself.
+    rib = Rib()
+    rib.record_redirect(D, S3, None, 600, 0)
+    assert rib.next_hop(D, 0) == (HopKind.DIRECT, S3)
+    rib.record_redirect(D, S2, B, 600, 0)
+    assert rib.next_hop(D, 0) == (HopKind.VIA_IS, S2)
+    # A refresh keeps the NET, and so the kind.
+    assert rib.refresh_redirect(D, S2, 10)
+    assert rib.next_hop(D, 10) == (HopKind.VIA_IS, S2)
+
+
 def test_next_hop_most_recent_is_wins():
     rib = Rib()
     rib.insert_entry(EntryKind.IS_NEIGHBOR, A, S1, 600, 0)
@@ -148,23 +161,24 @@ class MapModel:
                 return kind, snpa, expiry
         return None
 
-    def record_redirect(self, destination, snpa, holding, now):
+    def record_redirect(self, destination, snpa, net, holding, now):
         existed = destination in self.redirects
-        self.redirects[destination] = (snpa, now + holding, holding)
+        self.redirects[destination] = (snpa, now + holding, holding, net)
         return InsertResult.REPLACED if existed else InsertResult.INSERTED
 
     def refresh_redirect(self, destination, snpa, now):
         """A live redirect over `snpa` is re-armed at its own holding time."""
-        held, expiry, holding = self.redirects.get(destination, (None, 0, 0))
+        held, expiry, holding, net = self.redirects.get(destination, (None, 0, 0, None))
         if held != snpa or expiry <= now:
             return False
-        self.redirects[destination] = (snpa, now + holding, holding)
+        self.redirects[destination] = (snpa, now + holding, holding, net)
         return True
 
     def next_hop(self, destination, now):
-        snpa, expiry, _ = self.redirects.get(destination, (None, 0, 0))
+        """A redirect with a NET names an IS, one without the destination."""
+        snpa, expiry, _, net = self.redirects.get(destination, (None, 0, 0, None))
         if expiry > now:
-            return HopKind.DIRECT, snpa
+            return HopKind.VIA_IS if net else HopKind.DIRECT, snpa
         snpa, expiry = self.entries.get((EntryKind.ES_NEIGHBOR, destination), (None, 0))
         if expiry > now:
             return HopKind.DIRECT, snpa
@@ -180,14 +194,14 @@ class MapModel:
         lines = [f"{k} {a.hex()} via {s.hex()} expires {e}"
                  for kind in EntryKind
                  for (k, a), (s, e) in self.entries.items() if k is kind and e > now]
-        return lines + [f"RD {d.hex()} -> {s.hex()} expires {e}"
-                        for d, (s, e, _) in self.redirects.items() if e > now]
+        return lines + [f"RD {d.hex()} -> {s.hex()}{f' net {n.hex()}' if n else ''} expires {e}"
+                        for d, (s, e, _, n) in self.redirects.items() if e > now]
 
     def flush(self, now):
         dead = [k for k, (_, e) in self.entries.items() if e <= now]
         for k in dead:
             del self.entries[k]
-        gone = [d for d, (_, e, _) in self.redirects.items() if e <= now]
+        gone = [d for d, (_, e, *_) in self.redirects.items() if e <= now]
         for d in gone:
             del self.redirects[d]
         return len(dead) + len(gone)
@@ -249,8 +263,10 @@ def test_model_equivalence_random_ops():
                 emptied += any(h and not t for h, t in zip(held, tables(rib)))
         elif op == 3:
             if not quiet:
-                assert (rib.record_redirect(a, s, None, holding, now)
-                        == model.record_redirect(a, s, holding, now))
+                # Every other step's redirect carries a NET, so names an IS.
+                net = addrs[step % len(addrs)] if step % 2 else None
+                assert (rib.record_redirect(a, s, net, holding, now)
+                        == model.record_redirect(a, s, net, holding, now))
         elif op == 4:
             assert rib.refresh_redirect(a, s, now) == model.refresh_redirect(a, s, now)
         elif op == 5:

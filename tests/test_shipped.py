@@ -3,8 +3,8 @@
 this test only reads), whatever the interpreter's hash seed; no IS in a
 shipped scenario ever holds an IS entry; every RIB value's `line` is the
 one its other fields render, every virtual second; every frame a node
-receives is one `Node.handle_frame` call; and the log alone rebuilds the
-RIB dump."""
+receives is one `Node.handle_frame` call; the log alone rebuilds the RIB
+dump; and each log line is part of the step that made it."""
 
 import hashlib
 import json
@@ -18,7 +18,7 @@ import pytest
 from esis.cli import main
 from esis.engine import Node, Role
 from esis.scenario import build_simulator, load_scenario
-from helpers import misrendered_rib_values, replayed_ribs
+from helpers import misordered_lines, misrendered_rib_values, replayed_ribs
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.scn"))
@@ -104,3 +104,38 @@ def test_the_log_alone_rebuilds_the_rib_dump(path):
     dump = sim.dump_ribs(sc.until)
     assert replayed_ribs(log, [d.name for d in sc.nodes], sc.until) == dump
     assert len(dump) > len(sc.nodes)
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_each_log_line_is_part_of_the_step_that_made_it(path):
+    sc = load_scenario(str(path))
+    log = build_simulator(sc).run_until(sc.until)
+    assert misordered_lines(log) == []
+    assert any(" TIMER " in line for line in log) and any(" RIB " in line for line in log)
+
+
+HELLO = "t=0 node=A SEND dst=09002b000005 payload=82"
+FIRE = [HELLO, "t=0 node=A TIMER at=10"]
+RECEPTION = ["t=1 node=B RECV src=020000000001 payload=82",
+             "t=1 node=B RIB ES 4901 via 020000000001 expires 21",
+             "t=1 node=B SEND dst=020000000001 payload=82"]
+
+
+def test_checker_finds_misordered_lines():
+    clnp = "t=1 node=A SEND dst=ffffffffffff payload=81"
+    assert misordered_lines(FIRE + RECEPTION + [clnp, clnp] + FIRE) == []
+    # A reception's lines logged before its RECV.
+    assert misordered_lines(FIRE + RECEPTION[1:] + RECEPTION[:1]) == [
+        f"{RECEPTION[1]}: not part of a RECV of its node at its time"]
+    # A reception's line after another node's line.
+    assert misordered_lines(RECEPTION[:1] + [clnp, RECEPTION[1]]) == [
+        f"{RECEPTION[1]}: not part of a RECV of its node at its time"]
+    # A timer fire's TIMER logged before its SEND lines.
+    assert misordered_lines(FIRE[::-1] + RECEPTION) == [
+        f"{FIRE[1]}: not part of a RECV of its node at its time or a timer fire",
+        "t=0 node=A: timer fire not closed by its TIMER"]
+    # A fire cut by a send, and a fire left open at the end.
+    assert misordered_lines([HELLO, clnp.replace("t=1", "t=0"), FIRE[1], HELLO]) == [
+        "t=0 node=A: timer fire not closed by its TIMER",
+        f"{FIRE[1]}: not part of a RECV of its node at its time or a timer fire",
+        "t=0 node=A: timer fire not closed by its TIMER"]

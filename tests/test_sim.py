@@ -494,18 +494,17 @@ def test_unicast_run_hashes_and_compares_no_profile(monkeypatch):
 
 def test_equal_profiles_share_one_decode_table_and_others_do_not():
     sim = Simulator()
-    # Decode reads only a profile's NSAP rule, and a lenient rule has no AFI.
+    # Nodes of one NSAP rule share a table, whichever profile object each holds.
     profiles = [ValidationProfile(), ValidationProfile(), pdu.LENIENT,
-                ValidationProfile(atn=True), pdu.ATN, ValidationProfile(afi=0x39),
-                ValidationProfile(atn=True, afi=0x39)]
+                ValidationProfile(atn=True), pdu.ATN]
     for i, profile in enumerate(profiles):
         config = es_config(bytes([2, 0, 0, 0, 1, i]), NSAP2)
         config.validation_profile = profile
         sim.add_node(f"N{i}", config)
-    lenient, _, _, atn, _, _, atn39 = tables = [sn.decodes for sn in sim.nodes.values()]
-    assert [t is lenient for t in tables] == [True, True, True, False, False, True, False]
-    assert [t is atn for t in tables] == [False, False, False, True, True, False, False]
-    assert [t is atn39 for t in tables] == [False] * 6 + [True]
+    lenient, _, _, atn, _ = tables = [sn.decodes for sn in sim.nodes.values()]
+    assert [t is lenient for t in tables] == [True, True, True, False, False]
+    assert [t is atn for t in tables] == [False, False, False, True, True]
+    assert len(sim._decoded) == 2
 
 
 # The ATN profile in a run: an atn IS and an atn ES with 20-octet AFI-47
